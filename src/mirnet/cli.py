@@ -123,11 +123,17 @@ def _cmd_entropy(args) -> int:
         )
     if np.ptp(returns.returns) == 0:
         print("note: series is constant; entropy collapses to the degenerate floor")
+    estimator = lz.DEFAULT_ESTIMATOR
     for alpha in cfg.alphabet_sizes:
         sym = discretize(returns, alpha)
-        est = lz.entropy_rate(sym, min_length=cfg.min_length, allow_short=True)
+        est = lz.entropy_rate(
+            sym, min_length=cfg.min_length, allow_short=True, estimator=estimator
+        )
         flag = " (exceeds log2(alpha) cap)" if est.overshoot_flagged else ""
-        print(f"alpha={alpha}: entropy rate {est.value:.4f} bits/symbol{flag}")
+        print(
+            f"alpha={alpha}: entropy rate {est.value:.4f} bits/symbol "
+            f"(estimator: {estimator}){flag}"
+        )
     return EXIT_OK
 
 

@@ -18,6 +18,11 @@ METHODS = ("correlation", "mir", "mir_prime")
 # and its spread at a few thousand returns is several times smaller.
 MIR_ESTIMATOR = "paper"
 
+# joint-sequence symbols per match-length call in build_matrix: enough rows to
+# spread numpy's per-call overhead; the kernel holds about 200 bytes a symbol,
+# and batches past 2**15 symbols ran slower at 2.5k-symbol rows, not faster
+JOINT_SYMBOL_BUDGET = 1 << 14
+
 
 @dataclass
 class DistanceMatrix:
@@ -91,21 +96,15 @@ def _symbols(x) -> SymbolSequence:
     return x
 
 
-def _rates(x: SymbolSequence, y: SymbolSequence, allow_short: bool, min_length: int):
+def _check_aligned(x: SymbolSequence, y: SymbolSequence) -> None:
     if len(x) != len(y):
-        raise AlignmentError(f"length mismatch: {len(x)} vs {len(y)}")
-    opts = dict(
-        min_length=min_length, allow_short=allow_short, estimator=MIR_ESTIMATOR
-    )
-    hx = lz.entropy_rate(x, **opts).value
-    hy = lz.entropy_rate(y, **opts).value
-    hxy = lz.joint_entropy_rate(x, y, **opts).value
-    raw_mir = hx + hy - hxy
-    return hx, hy, hxy, raw_mir
+        raise AlignmentError(
+            f"pair ({x.ticker}, {y.ticker}): length mismatch: {len(x)} vs {len(y)}"
+        )
 
 
 def _check_degenerate(x, y, zero_for_degenerate):
-    both_constant = len(np.unique(x.symbols)) <= 1 and len(np.unique(y.symbols)) <= 1
+    both_constant = all((s.symbols == s.symbols[:1]).all() for s in (x, y))
     if both_constant:
         if zero_for_degenerate:
             return True
@@ -114,6 +113,38 @@ def _check_degenerate(x, y, zero_for_degenerate):
             "MIR distance undefined"
         )
     return False
+
+
+def _distance_from_rates(method: str, hx: float, hy: float, hxy: float):
+    """One pair's MIR distance from its rate triple, and whether MIR was clamped.
+
+    MIR = HR(x) + HR(y) - HR(x,y) is clamped at zero, then "mir" gives
+    D = (HR(x,y) - MIR) / HR(x,y) and "mir_prime" D' = 1 - MIR / max(HR(x),
+    HR(y)), clipped to [0, 1].
+    """
+    raw_mir = hx + hy - hxy
+    mir = max(0.0, raw_mir)
+    if method == "mir":
+        d = (hxy - mir) / hxy
+    else:
+        d = 1.0 - mir / max(hx, hy)
+    return min(1.0, max(0.0, d)), raw_mir < 0.0
+
+
+def _pair_distance(
+    method: str, x, y, allow_short: bool, min_length: int, zero_for_degenerate: bool
+) -> float:
+    x, y = _symbols(x), _symbols(y)
+    if _check_degenerate(x, y, zero_for_degenerate):
+        return 0.0
+    _check_aligned(x, y)
+    opts = dict(
+        min_length=min_length, allow_short=allow_short, estimator=MIR_ESTIMATOR
+    )
+    hx = lz.entropy_rate(x, **opts).value
+    hy = lz.entropy_rate(y, **opts).value
+    hxy = lz.joint_entropy_rate(x, y, **opts).value
+    return _distance_from_rates(method, hx, hy, hxy)[0]
 
 
 def mir_distance(
@@ -130,13 +161,7 @@ def mir_distance(
     independent pairs approach 1. The rates come from the paper's estimator
     (``MIR_ESTIMATOR``), whose bias largely cancels in the ratio.
     """
-    x, y = _symbols(x), _symbols(y)
-    if _check_degenerate(x, y, zero_for_degenerate):
-        return 0.0
-    _, _, hxy, raw_mir = _rates(x, y, allow_short, min_length)
-    mir = max(0.0, raw_mir)
-    d = hxy - mir
-    return min(1.0, max(0.0, d / hxy))
+    return _pair_distance("mir", x, y, allow_short, min_length, zero_for_degenerate)
 
 
 def mir_prime_distance(
@@ -151,12 +176,9 @@ def mir_prime_distance(
 
     Uses the paper's estimator (``MIR_ESTIMATOR``), as ``mir_distance`` does.
     """
-    x, y = _symbols(x), _symbols(y)
-    if _check_degenerate(x, y, zero_for_degenerate):
-        return 0.0
-    hx, hy, _, raw_mir = _rates(x, y, allow_short, min_length)
-    mir = max(0.0, raw_mir)
-    return min(1.0, max(0.0, 1.0 - mir / max(hx, hy)))
+    return _pair_distance(
+        "mir_prime", x, y, allow_short, min_length, zero_for_degenerate
+    )
 
 
 def build_matrix(
@@ -172,7 +194,12 @@ def build_matrix(
 
     For MIR methods the per-instrument entropy rates are computed once and
     reused across pairs, and the matrix records how many pairs needed the
-    negative-mutual-complexity clamp. MIR rates use the paper's estimator
+    negative-mutual-complexity clamp. The joint sequences go to
+    ``lz.match_lengths`` as batches of rows, ``JOINT_SYMBOL_BUDGET`` symbols
+    at a time; each value equals the per-pair functions' bit for bit. A pair
+    of constant sequences raises ``DegeneratePairError`` (or is set to 0 under
+    ``zero_for_degenerate``) and a pair of unequal lengths raises
+    ``AlignmentError``, each naming the pair. MIR rates use the paper's estimator
     (``MIR_ESTIMATOR``), as the per-pair distance functions do: the distances
     are the paper's normalised metrics, and the slope estimator's larger
     spread at a few thousand returns would reach them undamped.
@@ -208,27 +235,21 @@ def build_matrix(
             min_length=min_length, allow_short=allow_short, estimator=MIR_ESTIMATOR
         )
         marginal = [lz.entropy_rate(s, **opts).value for s in series]
+        pairs = []
         for i in range(n):
             for j in range(i + 1, n):
-                x, y = series[i], series[j]
-                try:
-                    if _check_degenerate(x, y, zero_for_degenerate):
-                        values[i, j] = values[j, i] = 0.0
-                        continue
-                    hxy = lz.joint_entropy_rate(x, y, **opts).value
-                    raw_mir = marginal[i] + marginal[j] - hxy
-                    if raw_mir < 0.0:
-                        clamped += 1
-                    mir = max(0.0, raw_mir)
-                    if method == "mir":
-                        d = (hxy - mir) / hxy
-                    else:
-                        d = 1.0 - mir / max(marginal[i], marginal[j])
-                except Exception as exc:
-                    raise type(exc)(
-                        f"pair ({tickers[i]}, {tickers[j]}): {exc}"
-                    ) from exc
-                values[i, j] = values[j, i] = min(1.0, max(0.0, d))
+                if not _check_degenerate(series[i], series[j], zero_for_degenerate):
+                    _check_aligned(series[i], series[j])
+                    pairs.append((i, j))
+        rows_per_call = max(1, JOINT_SYMBOL_BUDGET // len(series[0]))
+        for start in range(0, len(pairs), rows_per_call):
+            chunk = pairs[start : start + rows_per_call]
+            joint = np.array([lz.join(series[i], series[j]).symbols for i, j in chunk])
+            hxy = lz.ratio_rate(lz.match_lengths(joint)).tolist()
+            for (i, j), h in zip(chunk, hxy):
+                d, was_clamped = _distance_from_rates(method, marginal[i], marginal[j], h)
+                clamped += was_clamped
+                values[i, j] = values[j, i] = d
 
     return DistanceMatrix(
         tickers=tickers,

@@ -34,6 +34,26 @@ and the mutual rate is the inclusion-exclusion combination of the three
 estimates. The ratio never rates a pairing below either component, because
 the joint match lengths are pointwise at most the component ones; the slope
 has no such guarantee.
+
+``match_lengths`` computes Lambda_t for one sequence or for a 2-D batch of
+equal-length rows in one set of numpy calls; ``distance.build_matrix`` hands
+it the joint sequences of many pairs at once. Per row it takes three steps:
+
+1. Ranks and suffix array, by prefix doubling (Manber & Myers, SIAM J.
+   Comput. 1993): each level sorts the int64 key (rank, rank 2**k further on)
+   row-wise, and every level's ranks are kept.
+2. The longest previous factor (Crochemore & Ilie, IPL 2008): the longest
+   match of the suffix at t with an earlier suffix is found at one of the two
+   suffixes nearest to it in suffix-array order among those starting before
+   t. Both are found by binary lifting over a sparse table of suffix-array
+   minima.
+3. The longest common prefix with each of those two, by binary lifting over
+   the kept rank levels: equal ranks at level k mean equal substrings of
+   length 2**k.
+
+Steps 1 and 3 take about log2 of the longest repeat in the batch passes over
+it, step 2 about log2(n), so the per-call cost of numpy is paid once per batch
+rather than once per sequence.
 """
 
 from __future__ import annotations
@@ -87,74 +107,92 @@ class JointSequence:
         return self.symbols % ax, self.symbols // ax
 
 
-def _suffix_array(seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Suffix array and inverse (rank) array by prefix doubling."""
-    n = seq.size
-    _, rank = np.unique(seq, return_inverse=True)
-    rank = rank.astype(np.int64)
-    k = 1
-    while rank.max() != n - 1:
-        second = np.full(n, -1, dtype=np.int64)
-        second[: n - k] = rank[k:]
-        order = np.lexsort((second, rank))
-        r_o, s_o = rank[order], second[order]
-        changed = np.ones(n, dtype=bool)
-        changed[1:] = (r_o[1:] != r_o[:-1]) | (s_o[1:] != s_o[:-1])
-        new_rank = np.empty(n, dtype=np.int64)
-        new_rank[order] = np.cumsum(changed) - 1
-        rank = new_rank
-        k *= 2
-    sa = np.empty(n, dtype=np.int64)
-    sa[rank] = np.arange(n)
-    return sa, rank
+def _padded(rows: np.ndarray, front: int) -> np.ndarray:
+    """Rows laid end to end with one -1 after each and ``front`` -1s before."""
+    b, n = rows.shape
+    flat = np.full(front + b * (n + 1), -1, dtype=np.int64)
+    flat[front:].reshape(b, n + 1)[:, :n] = rows
+    return flat
 
 
-def _lcp_array(seq: np.ndarray, sa: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """Kasai LCP array: lcp[r] = LCP of suffixes sa[r-1] and sa[r]."""
-    n = seq.size
-    s = seq.tolist()
-    sa_l, rank_l = sa.tolist(), rank.tolist()
-    lcp = [0] * n
-    h = 0
-    for i in range(n):
-        r = rank_l[i]
-        if r > 0:
-            j = sa_l[r - 1]
-            while i + h < n and j + h < n and s[i + h] == s[j + h]:
-                h += 1
-            lcp[r] = h
-            if h:
-                h -= 1
-        else:
-            h = 0
-    return np.asarray(lcp, dtype=np.int64)
+def _rank_levels(rows: np.ndarray) -> list[np.ndarray]:
+    """Prefix-doubling ranks of every suffix, one array per level, row-wise.
 
-
-def _longest_previous_factor(sa: np.ndarray, lcp: np.ndarray) -> np.ndarray:
-    """Longest-previous-factor array from SA/LCP with one stack pass.
-
-    lpf[i] is the length of the longest prefix of the suffix at i that also
-    occurs starting at some position < i (the occurrence may overlap i).
+    Level k ranks the substrings of length 2**k starting at each position (cut
+    at the end of the row), so two positions share a rank at level k exactly
+    when those substrings are equal. Level 0 ranks the symbols themselves, so
+    any int64 symbols are fine. Doubling stops at the first level whose ranks
+    are all distinct; every longest common prefix is then shorter than 2**k.
     """
-    n = sa.size
-    sa_l = sa.tolist() + [-1]
-    lcp_l = lcp.tolist() + [0]
-    lpf = [0] * n
-    stack: list[list[int]] = []  # [text position, lcp with stack below]
-    for r in range(n + 1):
-        pos, here = sa_l[r], lcp_l[r]
-        while stack and (
-            pos < stack[-1][0] or (pos > stack[-1][0] and here <= stack[-1][1])
-        ):
-            top_pos, top_lcp = stack.pop()
-            if pos < top_pos:
-                lpf[top_pos] = max(top_lcp, here)
-                here = min(top_lcp, here)
-            else:
-                lpf[top_pos] = top_lcp
-        if r < n:
-            stack.append([pos, here])
-    return np.asarray(lpf, dtype=np.int64)
+    b, n = rows.shape
+    row_start = n * np.arange(b)[:, None]
+    levels = []
+    key = rows
+    while True:
+        order = (np.argsort(key, axis=1) + row_start).ravel()
+        sorted_key = key.ravel()[order].reshape(b, n)
+        dense = np.zeros((b, n), dtype=np.int64)
+        np.cumsum(sorted_key[:, 1:] != sorted_key[:, :-1], axis=1, out=dense[:, 1:])
+        rank = np.empty((b, n), dtype=np.int64)
+        rank.ravel()[order] = dense.ravel()
+        levels.append(rank)
+        if (dense[:, -1] == n - 1).all():
+            return levels
+        # (rank, rank 2**k further on) as one key; past the end sorts first
+        h = 1 << (len(levels) - 1)
+        key = rank * (n + 1)
+        key[:, :-h] += rank[:, h:] + 1
+
+
+def _nearest_smaller(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest earlier-starting suffixes on either side in suffix-array order.
+
+    ``rank`` holds each suffix's suffix-array index r, all distinct in a row.
+    For the suffix at position p, returns the position of the suffix at the
+    closest index below r, and at the closest above r, that starts before p,
+    or -1 where there is none; both flattened row by row. Found by binary
+    lifting over a sparse table of suffix-array minima: a block of indices is
+    skipped while every suffix in it starts after p.
+    """
+    b, n = rank.shape
+    levels = n.bit_length()
+    front = 1 << (levels - 1)
+    sa = np.empty_like(rank)
+    np.put_along_axis(sa, rank, np.arange(n), axis=1)
+    # table[k, i] = min of the SA over flat indices i .. i + 2**k - 1; the -1
+    # pads around each row stop any block that leaves it, and ``front`` of
+    # them keep the blocks that end in row 0 inside the array
+    flat = _padded(sa, front)
+    table = np.full((levels, flat.size), -1, dtype=np.int64)
+    table[0] = flat
+    for k in range(1, levels):
+        h = 1 << (k - 1)
+        np.minimum(table[k - 1, :-h], table[k - 1, h:], out=table[k, :-h])
+    # indices from here on count from the pad before row 0
+    r = (rank + 1 + (n + 1) * np.arange(b)[:, None]).ravel()
+    p = np.broadcast_to(np.arange(n), (b, n)).ravel()
+    before, after = r - 1, r + 1
+    for k in reversed(range(levels)):
+        step = 1 << k
+        ending_at = table[k, front - step :]
+        starting_at = table[k, front - 1 :]
+        before -= (ending_at[before] > p) * step
+        after += (starting_at[after] > p) * step
+    positions = table[0, front - 1 :]
+    return positions[before], positions[after]
+
+
+def _common_prefix(levels: list[np.ndarray], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Longest common prefix of suffixes i and j, by binary lifting over ranks.
+
+    ``levels`` are rank levels 0 .. k-1 in ``_padded(.., 1)`` layout, for a
+    common prefix shorter than 2**k, and i, j flat indices into them; position
+    -1 of a row is a pad that matches nothing.
+    """
+    lcp = np.zeros_like(i)
+    for k in reversed(range(len(levels))):
+        lcp += (levels[k][i + lcp] == levels[k][j + lcp]) * (1 << k)
+    return lcp
 
 
 def match_lengths(seq) -> np.ndarray:
@@ -164,16 +202,33 @@ def match_lengths(seq) -> np.ndarray:
     is 1 + the longest common prefix between the suffix starting there and
     any suffix starting earlier, so a match may extend past its own start
     but never past the end of the sequence.
+
+    ``seq`` is one sequence or a 2-D array of equal-length sequences, one per
+    row; the result has the same shape. Rows are independent, and a batch of
+    rows costs far fewer numpy calls than the same rows one at a time.
     """
     seq = np.asarray(seq, dtype=np.int64)
-    n = seq.size
+    if seq.ndim not in (1, 2):
+        raise ValueError(f"match lengths need a 1-D or 2-D array, got {seq.ndim}-D")
+    n = seq.shape[-1]
     if n < 2:
         raise InsufficientDataError(
             f"match lengths need at least 2 symbols, got {n}"
         )
-    sa, rank = _suffix_array(seq)
-    lcp = _lcp_array(seq, sa, rank)
-    return 1 + _longest_previous_factor(sa, lcp)
+    rows = seq.reshape(-1, n)
+    levels = _rank_levels(rows)
+    before, after = _nearest_smaller(levels[-1])
+    # a longest previous factor is shared with one of the two nearest
+    # earlier-starting suffixes in SA order (Crochemore & Ilie 2008)
+    start = 1 + (n + 1) * np.arange(rows.shape[0])[:, None]
+    here = (start + np.arange(n)).ravel()
+    base = np.broadcast_to(start, rows.shape).ravel()
+    padded = [_padded(rank, 1) for rank in levels[:-1]]
+    lpf = np.maximum(
+        _common_prefix(padded, here, base + before),
+        _common_prefix(padded, here, base + after),
+    )
+    return 1 + lpf.reshape(seq.shape)
 
 
 def _check_length(n: int, min_length: int, allow_short: bool) -> None:
@@ -190,10 +245,14 @@ def _check_length(n: int, min_length: int, allow_short: bool) -> None:
         )
 
 
-def _ratio_rate(lam: np.ndarray) -> float:
-    """The paper's estimator: n*log2(n) / sum(Lambda_t)."""
-    n = lam.size
-    return float(n * np.log2(n) / float(lam.sum()))
+def ratio_rate(lam: np.ndarray):
+    """The paper's estimator n*log2(n) / sum(Lambda_t), along the last axis.
+
+    Takes the match lengths of one sequence or of a batch of equal-length
+    rows, and returns a float64 scalar or one rate per row.
+    """
+    n = lam.shape[-1]
+    return n * np.log2(n) / lam.sum(axis=-1)
 
 
 def _slope_rate(lam: np.ndarray) -> float:
@@ -210,7 +269,7 @@ def _slope_rate(lam: np.ndarray) -> float:
         slope = float(xc @ (y - y.mean())) / float(xc @ xc)
         if slope > 0.0:
             return 1.0 / slope
-    return _ratio_rate(lam)
+    return float(ratio_rate(lam))
 
 
 def entropy_rate(
@@ -246,7 +305,7 @@ def entropy_rate(
         else:
             alphabet_size = int(symbols.max()) + 1
     lam = match_lengths(symbols)
-    value = _slope_rate(lam) if estimator == "slope" else _ratio_rate(lam)
+    value = _slope_rate(lam) if estimator == "slope" else float(ratio_rate(lam))
     return LzEstimate(value=value, n=n, alphabet_size=int(alphabet_size))
 
 

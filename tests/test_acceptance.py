@@ -68,13 +68,13 @@ def test_criterion_1_edge_counts():
 def test_criterion_2_estimator_consistency():
     """Marginal, joint, and mutual estimates on i.i.d. uniform alpha=4 data.
 
-    The marginal target (2.0 bits +-5%) is met.  The joint and mutual targets
-    are not met by this estimator family at n=1e5: the finite-sample bias of
-    the match-length estimator scales like 1/log n and roughly doubles on the
-    product alphabet, leaving the joint rate near 3.70 bits and the mutual
-    rate near 0.21 bits regardless of seed.  The assertions below state the
-    targets as specified and are expected to fail until a debiased estimator
-    is adopted; the verdict line records the measured values.
+    The targets are 2.0 bits +-5% marginal, 4.0 bits +-5% joint and a mutual
+    rate within +-0.1 at n=1e5, with the library's default estimator, the
+    regression slope.  The paper's ratio estimator (``estimator="paper"``)
+    misses the joint and mutual targets: its finite-sample bias scales like
+    1/log n and roughly doubles on the product alphabet, leaving the joint
+    rate near 3.70 bits and the mutual rate near 0.21 bits regardless of
+    seed.  The verdict line records the measured values.
     """
     rng = np.random.default_rng(20240917)
     n = 10**5

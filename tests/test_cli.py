@@ -136,6 +136,9 @@ def test_entropy_reports_each_alphabet(price_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ticker: SYN00" in out
     assert "alpha=4:" in out and "alpha=10:" in out
+    rate_lines = [line for line in out.splitlines() if line.startswith("alpha=")]
+    assert len(rate_lines) == 2
+    assert all("(estimator: slope)" in line for line in rate_lines)
     assert "warning" not in out
 
 

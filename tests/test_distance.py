@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mirnet import lz
+from mirnet import distance, lz
 from mirnet.distance import (
     build_matrix,
     corr_distance,
@@ -109,7 +109,7 @@ class TestMirDistance:
         assert mir_distance(c1, c2, zero_for_degenerate=True) == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(AlignmentError):
+        with pytest.raises(AlignmentError, match=r"pair \(a, b\)"):
             mir_distance(seq("a", [0, 1, 0]), seq("b", [0, 1]))
 
 
@@ -201,7 +201,20 @@ class TestBuildMatrix:
         assert 0 <= m.clamped_pairs <= m.total_pairs
         assert m.report()["clamp_fraction"] == m.clamp_fraction
 
-    def test_mir_rates_use_the_paper_estimator(self):
+    def test_mir_pair_errors_name_the_pair(self):
+        rng = np.random.default_rng(17)
+        good = [random_seq(rng, f"T{i}", 4, 600) for i in range(2)]
+        short = random_seq(rng, "SHORT", 4, 599)
+        with pytest.raises(AlignmentError, match=r"pair \(T0, SHORT\)"):
+            build_matrix([*good, short], "mir")
+        flat = [seq(name, np.zeros(600, dtype=int)) for name in ("FLAT1", "FLAT2")]
+        with pytest.raises(DegeneratePairError, match=r"pair \(FLAT1, FLAT2\)"):
+            build_matrix([good[0], *flat], "mir")
+        m = build_matrix([good[0], *flat], "mir", zero_for_degenerate=True)
+        assert m.values[1, 2] == m.values[2, 1] == 0.0
+        assert m.values[0, 1] > 0.0
+
+    def test_mir_rates_use_the_paper_estimator(self, monkeypatch):
         rng = np.random.default_rng(16)
         syms = [random_seq(rng, f"T{i}", 4, 600) for i in range(3)]
         x, y = syms[0], syms[1]
@@ -214,6 +227,23 @@ class TestBuildMatrix:
         assert mir_prime_distance(x, y) == expected_dp
         assert build_matrix(syms, "mir").values[0, 1] == expected_d
         assert build_matrix(syms, "mir_prime").values[0, 1] == expected_dp
+
+        # every pair of the batched matrix, across several match-length calls
+        # (two joint rows per call), equals the per-pair functions bit for bit
+        monkeypatch.setattr(distance, "JOINT_SYMBOL_BUDGET", 2 * 600)
+        syms += [random_seq(rng, f"T{i}", 4, 600) for i in range(3, 6)]
+        syms.append(seq("COPY", syms[0].symbols))
+        syms.append(seq("FLAT", np.zeros(600, dtype=int)))
+        syms.append(seq("NOISY", np.where(rng.random(600) < 0.3, 0, syms[1].symbols)))
+        pairs = [(i, j) for i in range(len(syms)) for j in range(i + 1, len(syms))]
+        for method, pair_distance in (
+            ("mir", mir_distance),
+            ("mir_prime", mir_prime_distance),
+        ):
+            m = build_matrix(syms, method)
+            for i, j in pairs:
+                assert m.values[i, j] == pair_distance(syms[i], syms[j])
+                assert m.values[j, i] == m.values[i, j]
 
     def test_scale_invariance_of_mir_distances(self):
         rng = np.random.default_rng(14)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirnet.errors import AlignmentError, InsufficientDataError
 from mirnet.ingest import SymbolSequence
@@ -45,6 +47,49 @@ class TestMatchLengths:
             n = int(rng.integers(2, 257))
             seq = rng.integers(0, alpha, size=n)
             assert match_lengths(seq).tolist() == brute_match_lengths(seq)
+
+
+# symbols as large as 1e9, drawn from a small pool so that rows repeat
+SYMBOL_POOLS = st.lists(st.integers(0, 10**9), min_size=1, max_size=4)
+
+
+@st.composite
+def symbol_rows(draw, n):
+    """One length-n row: random, constant, periodic or made of blocks."""
+    pool = draw(SYMBOL_POOLS)
+    kind = draw(st.sampled_from(["random", "constant", "periodic", "blocks"]))
+    if kind == "constant":
+        return [pool[0]] * n
+    if kind == "periodic":
+        return (pool * n)[:n]
+    row = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    if kind == "blocks":
+        width = draw(st.integers(2, 6))
+        row = [v for v in row for _ in range(width)][:n]
+    return row
+
+
+@st.composite
+def symbol_batches(draw):
+    n = draw(st.integers(2, 48))
+    return draw(st.lists(symbol_rows(n), min_size=1, max_size=6))
+
+
+class TestBatchedMatchLengths:
+    @settings(max_examples=150, deadline=None)
+    @given(symbol_batches())
+    def test_every_row_matches_the_oracle(self, rows):
+        lam = match_lengths(np.array(rows, dtype=np.int64))
+        assert lam.shape == (len(rows), len(rows[0]))
+        for row, got in zip(rows, lam):
+            assert got.tolist() == brute_match_lengths(row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(symbol_batches(), st.data())
+    def test_one_row_equals_its_row_in_a_batch(self, rows, data):
+        k = data.draw(st.integers(0, len(rows) - 1))
+        batch = match_lengths(np.array(rows, dtype=np.int64))
+        assert match_lengths(rows[k]).tolist() == batch[k].tolist()
 
 
 class TestEntropyRate:

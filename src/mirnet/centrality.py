@@ -5,11 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.stats
+from scipy.linalg import lapack
 
 from .errors import AlignmentError
 from .graph import FilteredGraph
+
+# first-passage systems at or below this reciprocal 1-norm condition number
+# are treated as singular
+MIN_RCOND = 1e-12
 
 
 @dataclass
@@ -55,25 +59,32 @@ def transition_matrix(graph: FilteredGraph, weighted: bool = False) -> np.ndarra
 def mean_first_passage(P: np.ndarray) -> np.ndarray:
     """Matrix M with M[s, v] = expected steps of the walk from s to v.
 
-    Column v solves (I - P) m = 1 with the row for v pinned to m[v] = 0.
+    Column v solves (I - P) m = 1 with the row for v pinned to m[v] = 0,
+    through one LU factorization per target (LAPACK getrf/getrs, the routines
+    behind ``scipy.linalg.solve``). The 1-norm condition estimate of that LU
+    (gecon) guards each solve: a reciprocal condition number at or below
+    ``MIN_RCOND``, as a walk that cannot reach the target gives, raises
+    ``LinAlgError`` naming the target.
     """
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
     M = np.zeros((n, n), dtype=float)
-    identity = np.eye(n)
+    system = np.eye(n) - P
     for v in range(n):
-        a = identity - P
+        a = system.copy()
         a[v, :] = 0.0
         a[v, v] = 1.0
-        b = np.ones(n)
+        b = np.ones((n, 1))
         b[v] = 0.0
-        cond = np.linalg.cond(a)
-        if not np.isfinite(cond) or cond > 1e12:
+        lu, piv, info = lapack.dgetrf(a)
+        # info > 0 is an exactly zero pivot; gecon needs a nonsingular LU
+        rcond = 0.0 if info else lapack.dgecon(lu, np.abs(a).sum(axis=0).max())[0]
+        if not rcond > MIN_RCOND:
             raise np.linalg.LinAlgError(
                 f"first-passage system for target {v} is ill-conditioned "
-                f"(condition number {cond:.3g})"
+                f"(reciprocal condition number {rcond:.3g})"
             )
-        M[:, v] = scipy.linalg.solve(a, b)
+        M[:, v] = lapack.dgetrs(lu, piv, b)[0][:, 0]
     return M
 
 

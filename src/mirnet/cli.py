@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lz
-from .distance import DistanceMatrix
+from .distance import MIR_ESTIMATOR, DistanceMatrix
 from .errors import MirnetError
 from .graph import EXPORTERS, build_mst, build_pmfg
 from .ingest import discretize, load_price_table, log_returns
@@ -123,7 +123,7 @@ def _cmd_entropy(args) -> int:
         )
     if np.ptp(returns.returns) == 0:
         print("note: series is constant; entropy collapses to the degenerate floor")
-    estimator = lz.DEFAULT_ESTIMATOR
+    estimator = args.estimator
     for alpha in cfg.alphabet_sizes:
         sym = discretize(returns, alpha)
         est = lz.entropy_rate(
@@ -189,6 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ent = sub.add_parser("entropy", help="entropy-rate diagnostics for one ticker")
     _add_config_flags(p_ent)
     p_ent.add_argument("ticker", help="instrument to diagnose")
+    p_ent.add_argument(
+        "--estimator",
+        choices=lz.ESTIMATORS,
+        default=lz.DEFAULT_ESTIMATOR,
+        help=f"entropy-rate estimator (default {lz.DEFAULT_ESTIMATOR}; MIR "
+        f"distances use {MIR_ESTIMATOR})",
+    )
 
     p_synth = sub.add_parser("synth", help="generate a synthetic price table")
     p_synth.add_argument("--mode", choices=["iid", "factor", "nonlinear"], required=True)

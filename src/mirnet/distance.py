@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,26 +67,50 @@ def _returns(x) -> np.ndarray:
     return np.asarray(x.returns if isinstance(x, ReturnSeries) else x, dtype=float)
 
 
+def _correlations(series) -> np.ndarray:
+    """Pearson correlation of every pair of return series, from one Gram product.
+
+    The returns are stacked once and centred in place; rho[i, j] is
+    xd_i . xd_j / sqrt(v_i v_j) with v_i = xd_i . xd_i. Lengths and constant
+    series are checked once per series, before the product, and the errors
+    name the ticker or the pair (a bare array is named by its position).
+    """
+    names = [getattr(s, "ticker", f"series {k}") for k, s in enumerate(series)]
+    rows = [_returns(s) for s in series]
+    for name, r in zip(names, rows):
+        if r.size != rows[0].size:
+            raise AlignmentError(
+                f"pair ({names[0]}, {name}): length mismatch: "
+                f"{rows[0].size} vs {r.size}"
+            )
+    if rows[0].size < 2:
+        raise AlignmentError("correlation needs at least 2 observations")
+    for name, r in zip(names, rows):
+        if (r == r[0]).all():
+            raise UndefinedCorrelationError(
+                f"{name}: correlation undefined for a constant series"
+            )
+    xd = np.array(rows)
+    xd -= xd.mean(axis=1, keepdims=True)
+    v = np.einsum("ij,ij->i", xd, xd)
+    return (xd @ xd.T) / np.sqrt(np.outer(v, v))
+
+
+def _corr_to_distance(rho, variant: str):
+    """1 - rho^2, or sqrt(2(1 - rho)) under variant='sqrt'; clipped at 0."""
+    if variant == "sqrt":
+        return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - rho)))
+    return np.maximum(0.0, 1.0 - rho * rho)
+
+
 def pearson(x, y) -> float:
     """Sample Pearson correlation of two equal-length return series."""
-    xs, ys = _returns(x), _returns(y)
-    if xs.size != ys.size:
-        raise AlignmentError(f"length mismatch: {xs.size} vs {ys.size}")
-    if xs.size < 2:
-        raise AlignmentError("correlation needs at least 2 observations")
-    xd, yd = xs - xs.mean(), ys - ys.mean()
-    vx, vy = float(xd @ xd), float(yd @ yd)
-    if vx == 0.0 or vy == 0.0:
-        raise UndefinedCorrelationError("correlation undefined for a constant series")
-    return float(xd @ yd / math.sqrt(vx * vy))
+    return float(_correlations((x, y))[0, 1])
 
 
 def corr_distance(x, y, *, variant: str = "one_minus_r2") -> float:
     """Correlation distance: 1 - rho^2, or sqrt(2(1-rho)) under variant='sqrt'."""
-    rho = pearson(x, y)
-    if variant == "sqrt":
-        return math.sqrt(max(0.0, 2.0 * (1.0 - rho)))
-    return 1.0 - rho * rho
+    return float(_corr_to_distance(pearson(x, y), variant))
 
 
 def _symbols(x) -> SymbolSequence:
@@ -192,7 +215,11 @@ def build_matrix(
 ) -> DistanceMatrix:
     """Fill the n(n-1)/2 pairwise distances for one method.
 
-    For MIR methods the per-instrument entropy rates are computed once and
+    Correlation distances come from one Gram product of the centred returns;
+    the upper triangle is mirrored, so the matrix is exactly symmetric with a
+    zero diagonal. A constant series raises ``UndefinedCorrelationError``
+    naming the ticker, and a length mismatch ``AlignmentError`` naming the
+    pair. For MIR methods the per-instrument entropy rates are computed once and
     reused across pairs, and the matrix records how many pairs needed the
     negative-mutual-complexity clamp. The joint sequences go to
     ``lz.match_lengths`` as batches of rows, ``JOINT_SYMBOL_BUDGET`` symbols
@@ -211,26 +238,20 @@ def build_matrix(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     tickers = tuple(s.ticker for s in series)
-    values = np.zeros((n, n), dtype=float)
     clamped = 0
     params: dict = {}
 
     if method == "correlation":
         params["variant"] = corr_variant
-        for i in range(n):
-            for j in range(i + 1, n):
-                try:
-                    d = corr_distance(series[i], series[j], variant=corr_variant)
-                except Exception as exc:
-                    raise type(exc)(
-                        f"pair ({tickers[i]}, {tickers[j]}): {exc}"
-                    ) from exc
-                values[i, j] = values[j, i] = d
+        d = _corr_to_distance(_correlations(series), corr_variant)
+        values = np.triu(d, 1)
+        values += values.T
     else:
         alphas = {s.alphabet_size for s in series}
         if len(alphas) != 1:
             raise AlignmentError(f"mixed alphabet sizes in one matrix: {sorted(alphas)}")
         params["alphabet_size"] = alphas.pop()
+        values = np.zeros((n, n), dtype=float)
         opts = dict(
             min_length=min_length, allow_short=allow_short, estimator=MIR_ESTIMATOR
         )

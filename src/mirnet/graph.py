@@ -46,13 +46,18 @@ def ordered_edges(matrix: DistanceMatrix) -> list[tuple[str, str, float]]:
     Equal distances fall back to lexicographic (min ticker, max ticker)
     order so the construction is deterministic.
     """
-    edges = []
-    for i in range(matrix.n):
-        for j in range(i + 1, matrix.n):
-            u, v = sorted((matrix.tickers[i], matrix.tickers[j]))
-            edges.append((u, v, float(matrix.values[i, j])))
-    edges.sort(key=lambda e: (e[2], e[0], e[1]))
-    return edges
+    names = sorted(set(matrix.tickers))
+    rank = {t: k for k, t in enumerate(names)}
+    ranks = np.array([rank[t] for t in matrix.tickers], dtype=np.int64)
+    i, j = np.triu_indices(matrix.n, 1)
+    dist = np.asarray(matrix.values, dtype=float)[i, j]
+    lo = np.minimum(ranks[i], ranks[j])
+    hi = np.maximum(ranks[i], ranks[j])
+    order = np.lexsort((hi, lo, dist))
+    return [
+        (names[u], names[v], w)
+        for u, v, w in zip(lo[order].tolist(), hi[order].tolist(), dist[order].tolist())
+    ]
 
 
 class _UnionFind:
@@ -126,8 +131,7 @@ def build_pmfg(matrix: DistanceMatrix, genus: int = 0) -> FilteredGraph:
     g.add_nodes_from(matrix.tickers)
     for u, v, w in ordered_edges(matrix):
         g.add_edge(u, v)
-        # cheap necessary condition before the full planarity test
-        if g.number_of_edges() > target or not nx.check_planarity(g)[0]:
+        if not nx.check_planarity(g)[0]:
             g.remove_edge(u, v)
             continue
         accepted.append((u, v, w))

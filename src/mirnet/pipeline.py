@@ -61,12 +61,17 @@ def _combo_name(combo: dict) -> str:
 
 
 def _build_distance_matrix(cfg: AnalysisConfig, combo, returns, symbols_by_alpha):
+    """The combination's matrix; symbols are discretized on first use per alpha,
+    so a series too short for an alphabet fails only the MIR combinations."""
     if combo["method"] == "correlation":
         return distance_mod.build_matrix(
             returns, "correlation", corr_variant=cfg.corr_variant
         )
+    alpha = combo["alpha"]
+    if alpha not in symbols_by_alpha:
+        symbols_by_alpha[alpha] = [discretize(r, alpha) for r in returns]
     return distance_mod.build_matrix(
-        symbols_by_alpha[combo["alpha"]],
+        symbols_by_alpha[alpha],
         combo["method"],
         allow_short=cfg.allow_short,
         min_length=cfg.min_length,
@@ -88,9 +93,7 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
         cfg.input_path, delimiter=cfg.delimiter, date_column=cfg.date_column
     )
     returns = [log_returns(s) for s in series]
-    symbols_by_alpha = {
-        a: [discretize(r, a) for r in returns] for a in cfg.alphabet_sizes
-    }
+    symbols_by_alpha: dict[int, list] = {}
 
     manifest: dict = {
         "config": asdict(cfg),

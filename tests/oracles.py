@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.linalg
 
 
 def brute_match_lengths(seq) -> list[int]:
@@ -25,6 +26,18 @@ def brute_match_lengths(seq) -> list[int]:
             best = max(best, length)
         lam[i] = 1 + best
     return lam
+
+
+def sorted_pair_edges(tickers, values) -> list[tuple[str, str, float]]:
+    """Every pair as (min ticker, max ticker, distance), sorted as tuples."""
+    n = len(tickers)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            u, v = sorted((tickers[i], tickers[j]))
+            edges.append((u, v, float(values[i][j])))
+    edges.sort(key=lambda e: (e[2], e[0], e[1]))
+    return edges
 
 
 def min_spanning_tree_weight(weights: np.ndarray) -> float:
@@ -151,3 +164,29 @@ def monte_carlo_passage_time(
         steps[active] += 1
         active = position != target
     return float(steps.mean())
+
+
+def svd_checked_first_passage(P: np.ndarray) -> np.ndarray:
+    """Mean first-passage matrix, one dense solve per target.
+
+    Column v solves (I - P) m = 1 with the row for v pinned to m[v] = 0, each
+    system checked first by its 2-norm condition number from a full SVD.
+    """
+    P = np.asarray(P, dtype=float)
+    n = P.shape[0]
+    M = np.zeros((n, n), dtype=float)
+    identity = np.eye(n)
+    for v in range(n):
+        a = identity - P
+        a[v, :] = 0.0
+        a[v, v] = 1.0
+        b = np.ones(n)
+        b[v] = 0.0
+        cond = np.linalg.cond(a)
+        if not np.isfinite(cond) or cond > 1e12:
+            raise np.linalg.LinAlgError(
+                f"first-passage system for target {v} is ill-conditioned "
+                f"(condition number {cond:.3g})"
+            )
+        M[:, v] = scipy.linalg.solve(a, b)
+    return M

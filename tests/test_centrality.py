@@ -7,10 +7,11 @@ from mirnet.centrality import (
     mean_first_passage,
     transition_matrix,
 )
+from mirnet.distance import DistanceMatrix
 from mirnet.errors import AlignmentError
-from mirnet.graph import FilteredGraph
+from mirnet.graph import FilteredGraph, build_mst, build_pmfg
 
-from oracles import monte_carlo_passage_time
+from oracles import monte_carlo_passage_time, svd_checked_first_passage
 
 
 def graph_from_edges(nodes, edges, kind="mst"):
@@ -36,6 +37,29 @@ def cycle_graph(n):
 def star_graph(n):
     nodes = ["HUB"] + [f"L{i}" for i in range(n - 1)]
     return graph_from_edges(nodes, [("HUB", leaf, 0.5) for leaf in nodes[1:]])
+
+
+def random_distances(n, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.random((n, n))
+    values = np.triu(values, 1)
+    return DistanceMatrix(tuple(f"T{i:03d}" for i in range(n)), "test", values + values.T)
+
+
+def stacked_triangulation(n, seed):
+    """A maximal planar graph (3(n-2) edges, as a PMFG has): each new node goes
+    into a random face of the triangulation and joins its three corners."""
+    rng = np.random.default_rng(seed)
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    faces = [(0, 1, 2), (0, 1, 2)]
+    for k in range(3, n):
+        a, b, c = faces.pop(int(rng.integers(len(faces))))
+        pairs += [(a, k), (b, k), (c, k)]
+        faces += [(a, b, k), (a, c, k), (b, c, k)]
+    nodes = [f"N{i:03d}" for i in range(n)]
+    weights = rng.random(len(pairs)).tolist()
+    edges = [(nodes[i], nodes[j], w) for (i, j), w in zip(pairs, weights)]
+    return graph_from_edges(nodes, edges, kind="pmfg")
 
 
 class TestTransitionMatrix:
@@ -101,6 +125,34 @@ class TestMeanFirstPassage:
             start, target = 0, n - 1
             simulated = monte_carlo_passage_time(P, start, target, walks=200_000, seed=seed)
             assert simulated == pytest.approx(M[start, target], rel=0.01)
+
+    # the oracle's SVDs make n = 250 cost several seconds, so one graph has it
+    @pytest.mark.parametrize(
+        "make, weighted",
+        [
+            (lambda: build_mst(random_distances(12, 0)), False),
+            (lambda: build_mst(random_distances(120, 1)), False),
+            (lambda: build_mst(random_distances(250, 2)), True),
+            (lambda: build_pmfg(random_distances(30, 3)), False),
+            (lambda: build_pmfg(random_distances(30, 4)), True),
+            (lambda: stacked_triangulation(120, 5), False),
+            (lambda: stacked_triangulation(120, 6), True),
+        ],
+        ids=["mst12", "mst120", "mst250-weighted", "pmfg30", "pmfg30-weighted",
+             "planar120", "planar120-weighted"],
+    )
+    def test_bit_identical_to_svd_checked_solves(self, make, weighted):
+        g = make()
+        P = transition_matrix(g, weighted=weighted)
+        assert np.array_equal(mean_first_passage(P), svd_checked_first_passage(P))
+
+    def test_two_disjoint_edges_rejected(self):
+        # every node has a neighbour, so the walk is defined, but no walk
+        # crosses between the two components
+        g = graph_from_edges("ABCD", [("A", "B", 0.5), ("C", "D", 0.5)])
+        P = transition_matrix(g)
+        with pytest.raises(np.linalg.LinAlgError, match="target 0"):
+            mean_first_passage(P)
 
 
 class TestMarkovCentrality:

@@ -9,7 +9,8 @@ import json
 import numpy as np
 import pytest
 
-from mirnet import cli
+from mirnet import cli, lz
+from mirnet.ingest import discretize, load_price_table, log_returns
 from mirnet.synth import SynthSpec, generate_price_table
 
 
@@ -140,6 +141,37 @@ def test_entropy_reports_each_alphabet(price_file, tmp_path, capsys):
     assert len(rate_lines) == 2
     assert all("(estimator: slope)" in line for line in rate_lines)
     assert "warning" not in out
+
+
+@pytest.mark.parametrize("estimator", lz.ESTIMATORS)
+def test_entropy_estimator_choice(estimator, price_file, tmp_path, capsys):
+    code = cli.main(
+        [
+            "entropy",
+            "--input", str(price_file),
+            "--output-dir", str(tmp_path),
+            "--alphabet-sizes", "4",
+            "--estimator", estimator,
+            "SYN01",
+        ]
+    )
+    assert code == cli.EXIT_OK
+    rate_lines = [
+        line for line in capsys.readouterr().out.splitlines() if line.startswith("alpha=")
+    ]
+    returns = log_returns(next(s for s in load_price_table(price_file) if s.ticker == "SYN01"))
+    rate = lz.entropy_rate(discretize(returns, 4), estimator=estimator).value
+    assert rate_lines == [
+        f"alpha=4: entropy rate {rate:.4f} bits/symbol (estimator: {estimator})"
+    ]
+
+
+def test_entropy_rejects_unknown_estimator(price_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["entropy", "--input", str(price_file), "--output-dir", str(tmp_path),
+                  "--estimator", "lempel", "SYN01"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_entropy_unknown_ticker_lists_available(price_file, tmp_path, capsys):

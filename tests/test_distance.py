@@ -54,6 +54,14 @@ class TestPearson:
         with pytest.raises(AlignmentError):
             pearson(np.arange(3.0), np.arange(4.0))
 
+    def test_constant_nonzero_series_undefined(self):
+        # the mean of three 0.1s is not exactly 0.1, so centring alone
+        # would leave a tiny nonzero variance
+        x = ReturnSeries("x", np.array([0.1, -0.2, 0.3]))
+        c = ReturnSeries("c", np.full(3, 0.1))
+        with pytest.raises(UndefinedCorrelationError, match="c: "):
+            pearson(x, c)
+
 
 class TestCorrDistance:
     def test_perfect_correlation(self):
@@ -180,6 +188,35 @@ class TestBuildMatrix:
         ]
         with pytest.raises(UndefinedCorrelationError, match="FLAT"):
             build_matrix(series, "correlation")
+
+    def test_correlation_entries_match_corr_distance(self):
+        rng = np.random.default_rng(18)
+        series = self.make_returns(rng, n=30, m=2501)
+        series[3] = ReturnSeries("T03", 40.0 * series[3].returns)
+        series.append(ReturnSeries("COPY", series[0].returns.copy()))
+        series.append(ReturnSeries("NEG", -series[1].returns))
+        m = build_matrix(series, "correlation")
+        assert np.array_equal(m.values, m.values.T)
+        assert np.all(np.diag(m.values) == 0.0)
+        assert np.all((m.values >= 0.0) & (m.values <= 1.0))
+        for i in range(m.n):
+            for j in range(i + 1, m.n):
+                assert abs(m.values[i, j] - corr_distance(series[i], series[j])) <= 1e-15
+        sqrt = build_matrix(series[:30], "correlation", corr_variant="sqrt")
+        for i in range(30):
+            for j in range(i + 1, 30):
+                expected = corr_distance(series[i], series[j], variant="sqrt")
+                assert abs(sqrt.values[i, j] - expected) <= 1e-15
+
+    def test_correlation_errors_name_the_series(self):
+        rng = np.random.default_rng(19)
+        good = [ReturnSeries(f"G{i}", rng.standard_normal(50)) for i in range(3)]
+        flat = ReturnSeries("FLAT", np.full(50, 0.01))
+        with pytest.raises(UndefinedCorrelationError, match=r"^FLAT: "):
+            build_matrix([*good, flat], "correlation")
+        short = ReturnSeries("SHORT", rng.standard_normal(49))
+        with pytest.raises(AlignmentError, match=r"pair \(G0, SHORT\)"):
+            build_matrix([*good, short, flat], "correlation")
 
     def test_requires_three_instruments(self):
         rng = np.random.default_rng(11)

@@ -3,6 +3,8 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirnet.distance import DistanceMatrix
 from mirnet.graph import (
@@ -15,11 +17,27 @@ from mirnet.graph import (
     to_json,
 )
 
-from oracles import is_planar_slow, min_spanning_tree_weight
+from oracles import is_planar_slow, min_spanning_tree_weight, sorted_pair_edges
 
 
 def matrix_from(tickers, values, method="correlation"):
     return DistanceMatrix(tickers=tuple(tickers), method=method, values=np.asarray(values, float))
+
+
+@st.composite
+def tied_matrices(draw):
+    """Matrices whose distances come from three values, so ties are common;
+    tickers may repeat and do not sort in index order."""
+    n = draw(st.integers(2, 16))
+    pool = ["A", "AA", "B", "Z", "a", "b10", "b2", "\u00e9"] + [f"T{k}" for k in range(16)]
+    tickers = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    upper = draw(
+        st.lists(st.sampled_from([0.1, 0.5, 0.9]), min_size=n * (n - 1) // 2,
+                 max_size=n * (n - 1) // 2)
+    )
+    values = np.zeros((n, n))
+    values[np.triu_indices(n, 1)] = upper
+    return matrix_from(tickers, values + values.T)
 
 
 def random_matrix(rng, n, tickers=None):
@@ -42,6 +60,11 @@ class TestOrderedEdges:
     def test_edge_count_n15(self):
         m = random_matrix(np.random.default_rng(0), 15)
         assert len(ordered_edges(m)) == 105
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_matrices())
+    def test_equals_tuple_sort_under_ties(self, m):
+        assert ordered_edges(m) == sorted_pair_edges(m.tickers, m.values)
 
 
 class TestBuildMst:

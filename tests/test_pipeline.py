@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -110,6 +111,26 @@ class TestRunPipeline:
         assert manifest["status"] == "partial"
         # failed combination left no artifacts behind
         assert not list((tmp_path / "out").glob("correlation_*"))
+
+    def test_short_table_fails_only_mir(self, tmp_path):
+        # 6 rows give 5 returns: enough for correlation, too few for 10 bins
+        path = tmp_path / "short.csv"
+        spec = SynthSpec(mode="factor", n_instruments=4, n_rows=6, seed=4)
+        path.write_text(generate_price_table(spec))
+        cfg = small_config(path, tmp_path / "corr", methods=["correlation"],
+                           alphabet_sizes=[4, 10])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            manifest = run_pipeline(cfg)
+        assert manifest["status"] == "ok"
+        assert manifest["combinations"]["correlation"]["graphs"]["pmfg"]["edges"] == 6
+
+        cfg = small_config(path, tmp_path / "both", alphabet_sizes=[10])
+        manifest = run_pipeline(cfg)
+        assert manifest["status"] == "partial"
+        assert manifest["combinations"]["correlation"]["status"] == "ok"
+        error = manifest["combinations"]["mir_a10"]["error"]
+        assert error.startswith("InsufficientDataError") and "10 bins" in error
 
     def test_manifest_written(self, price_file, tmp_path):
         out = tmp_path / "out"

@@ -1,7 +1,7 @@
 """Command-line entry point: run, entropy, synth, and export subcommands.
 
 Exit codes: 0 success, 1 input or config error, 2 partial pipeline failure,
-3 internal error.
+3 internal error, 4 every pipeline combination failed.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_PARTIAL = 2
 EXIT_INTERNAL = 3
+EXIT_FAILED = 4
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -97,7 +98,7 @@ def _cmd_run(args) -> int:
         return EXIT_OK
     if manifest["status"] == "partial":
         return EXIT_PARTIAL
-    return EXIT_PARTIAL
+    return EXIT_FAILED
 
 
 def _cmd_entropy(args) -> int:
@@ -152,18 +153,8 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _load_matrix(path: str, delimiter: str) -> DistanceMatrix:
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(delimiter)
-    tickers = tuple(t for t in header[1:])
-    values = np.array(
-        [[float(v) for v in line.split(delimiter)[1:]] for line in lines[1:]]
-    )
-    return DistanceMatrix(tickers=tickers, method="imported", values=values)
-
-
 def _cmd_export(args) -> int:
-    matrix = _load_matrix(args.matrix, args.delimiter)
+    matrix = DistanceMatrix.from_delimited(Path(args.matrix).read_text(), args.delimiter)
     builder = build_mst if args.kind == "mst" else build_pmfg
     fg = builder(matrix)
     text = EXPORTERS[args.format](fg)

@@ -7,7 +7,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lz
-from .errors import AlignmentError, DegeneratePairError, UndefinedCorrelationError
+from .errors import (
+    AlignmentError,
+    DegeneratePairError,
+    FormatError,
+    UndefinedCorrelationError,
+    ValidationError,
+)
 from .ingest import ReturnSeries, SymbolSequence
 
 METHODS = ("correlation", "mir", "mir_prime")
@@ -25,7 +31,13 @@ JOINT_SYMBOL_BUDGET = 1 << 14
 
 @dataclass
 class DistanceMatrix:
-    """Symmetric distance matrix over a labelled instrument set."""
+    """Symmetric distance matrix over a labelled instrument set.
+
+    Construction checks the values: an n x n array for the n tickers, every
+    entry finite, exactly symmetric, and 0 on the diagonal. A failed check
+    raises ``ValidationError`` naming the first offending (row ticker, column
+    ticker) in row-major order.
+    """
 
     tickers: tuple[str, ...]
     method: str
@@ -34,6 +46,61 @@ class DistanceMatrix:
     # pairs whose raw mutual complexity was negative before clamping
     clamped_pairs: int = 0
     total_pairs: int = 0
+
+    def __post_init__(self):
+        values = self.values = np.asarray(self.values, dtype=float)
+        names = self.tickers
+        if values.shape != (len(names), len(names)):
+            raise ValidationError(
+                f"distance values have shape {values.shape}, expected "
+                f"({len(names)}, {len(names)}) for {len(names)} tickers"
+            )
+        problems = (
+            (~np.isfinite(values), "is not finite"),
+            (values != values.T, "differs from its mirror entry"),
+            (np.diag(np.diag(values) != 0), "on the diagonal is not 0"),
+        )
+        for mask, what in problems:
+            if mask.any():
+                i, j = np.argwhere(mask)[0]
+                raise ValidationError(
+                    f"({names[i]}, {names[j]}): distance {float(values[i, j])!r} {what}"
+                )
+
+    @classmethod
+    def from_delimited(cls, text: str, delimiter: str = ",") -> "DistanceMatrix":
+        """Read the text ``to_delimited`` writes; the method is ``"imported"``.
+
+        The header row lists the tickers after one empty cell, and each row
+        starts with its ticker. A row out of place, a ragged row or a cell
+        that is not a number raises ``FormatError`` naming it; the values are
+        then checked as on construction.
+        """
+        lines = [line for line in text.splitlines() if line.strip()]
+        if not lines:
+            raise FormatError("empty distance matrix")
+        tickers = tuple(lines[0].split(delimiter)[1:])
+        if len(lines) - 1 != len(tickers):
+            raise FormatError(
+                f"{len(tickers)} tickers in the header but {len(lines) - 1} rows"
+            )
+        values = np.empty((len(tickers), len(tickers)))
+        for i, (ticker, line) in enumerate(zip(tickers, lines[1:])):
+            label, *cells = line.split(delimiter)
+            if label != ticker:
+                raise FormatError(f"row {i + 1} is {label!r}, expected {ticker!r}")
+            if len(cells) != len(tickers):
+                raise FormatError(
+                    f"row {ticker}: {len(cells)} values, expected {len(tickers)}"
+                )
+            for j, cell in enumerate(cells):
+                try:
+                    values[i, j] = float(cell)
+                except ValueError:
+                    raise FormatError(
+                        f"({ticker}, {tickers[j]}): {cell!r} is not a number"
+                    ) from None
+        return cls(tickers=tickers, method="imported", values=values)
 
     @property
     def n(self) -> int:

@@ -9,6 +9,7 @@ import networkx as nx
 import numpy as np
 
 from .distance import DistanceMatrix
+from .errors import ValidationError
 
 
 @dataclass
@@ -84,16 +85,24 @@ class _UnionFind:
         return True
 
 
-def build_mst(matrix: DistanceMatrix, genus: int = 0) -> FilteredGraph:
+def _node_index(matrix: DistanceMatrix) -> dict[str, int]:
+    """Position of each ticker; a repeated ticker would merge two nodes."""
+    index: dict[str, int] = {}
+    for k, ticker in enumerate(matrix.tickers):
+        if index.setdefault(ticker, k) != k:
+            raise ValidationError(f"{ticker}: ticker appears more than once")
+    return index
+
+
+def build_mst(matrix: DistanceMatrix) -> FilteredGraph:
     """Kruskal insertion over the ordered edge list; n-1 edges, acyclic."""
-    if genus != 0:
-        raise NotImplementedError("only genus-0 construction is implemented")
     if matrix.n < 2:
         raise ValueError("MST needs at least 2 nodes")
-    uf = _UnionFind(matrix.tickers)
+    index = _node_index(matrix)
+    uf = _UnionFind(range(matrix.n))
     accepted = []
     for u, v, w in ordered_edges(matrix):
-        if uf.union(u, v):
+        if uf.union(index[u], index[v]):
             accepted.append((u, v, w))
             if len(accepted) == matrix.n - 1:
                 break
@@ -106,33 +115,225 @@ def build_mst(matrix: DistanceMatrix, genus: int = 0) -> FilteredGraph:
     )
 
 
-def is_planar_with(edges, candidate) -> bool:
-    """Whether the accumulated edge set stays planar after one more edge."""
-    g = nx.Graph()
-    g.add_edges_from((u, v) for u, v, *_ in edges)
-    u, v, *_ = candidate
-    g.add_edge(u, v)
-    ok, _ = nx.check_planarity(g)
-    return ok
+def _is_planar(n: int, adj: list[list[int]]) -> bool:
+    """Left-Right planarity test (Brandes, 2009) that tests and never embeds.
 
-def build_pmfg(matrix: DistanceMatrix, genus: int = 0) -> FilteredGraph:
+    Vertices are ``0..n-1``; ``adj[v]`` lists the neighbours of ``v``, every
+    edge in both lists, with no self-loops or repeats. The two passes are
+    those of networkx's ``check_planarity``: a DFS orientation that gives
+    each edge its lowpoints and nesting depth, then a testing DFS that visits
+    children by nesting depth and merges return edges into a stack of
+    conflict pairs. Both passes are iterative. The edge oriented ``v -> w``
+    is the int ``v * n + w``; a conflict pair is the list ``[left low, left
+    high, right low, right high]`` of edges, an empty interval having low
+    and high ``None``. ``ref`` links the intervals merged into one. Only the
+    answer is needed, so the sides, the lowpoint edges and the ``ref``
+    entries that an embedding alone reads are not kept, nor the lowpt2 of a
+    back edge, which is the height of its tail.
+    """
+    if n > 2 and sum(map(len, adj)) > 2 * (3 * n - 6):
+        return False
+    height = [-1] * n
+    parent_edge: list = [None] * n
+    lowpt: dict[int, int] = {}
+    lowpt2: dict[int, int] = {}  # tree edges only
+    nesting: dict[int, int] = {}
+    out: list[list[int]] = [[] for _ in range(n)]  # oriented edges by tail
+    roots = []
+    nxt = [0] * n
+    for root in range(n):
+        if height[root] >= 0:
+            continue
+        height[root] = 0
+        roots.append(root)
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            nbrs = adj[v]
+            hv = height[v]
+            e = parent_edge[v]
+            for i in range(nxt[v], len(nbrs)):
+                w = nbrs[i]
+                hw = height[w]
+                if hw < 0:  # tree edge
+                    vw = v * n + w
+                    out[v].append(vw)
+                    lowpt[vw] = lowpt2[vw] = hv
+                    parent_edge[w] = vw
+                    height[w] = hv + 1
+                    nxt[v] = i + 1
+                    stack.append(w)
+                    break
+                if hw >= hv - 1:
+                    # the tree edge from v's parent, or a back edge that a
+                    # descendant of v has oriented already
+                    continue
+                # back edge to an ancestor: lowpt is the ancestor's height,
+                # the edge is not chordal, and its lowpoint joins those of e
+                vw = v * n + w
+                out[v].append(vw)
+                lowpt[vw] = hw
+                nesting[vw] = 2 * hw
+                low_e = lowpt[e]
+                if hw < low_e:
+                    lowpt2[e] = low_e
+                    lowpt[e] = hw
+                elif low_e < hw < lowpt2[e]:
+                    lowpt2[e] = hw
+            else:
+                # v is finished: the tree edge into v gets its nesting depth,
+                # and its lowpoints join those of the tree edge above it
+                stack.pop()
+                vw = e
+                if vw is None:
+                    continue
+                v = vw // n
+                low = lowpt[vw]
+                nesting[vw] = 2 * low + (lowpt2[vw] < height[v])
+                e = parent_edge[v]
+                if e is not None:
+                    low_e = lowpt[e]
+                    if low < low_e:
+                        lowpt2[e] = min(low_e, lowpt2[vw])
+                        lowpt[e] = low
+                    elif low > low_e:
+                        lowpt2[e] = min(lowpt2[e], low)
+                    else:
+                        lowpt2[e] = min(lowpt2[e], lowpt2[vw])
+
+    for edges in out:
+        edges.sort(key=nesting.__getitem__)
+    S: list[list] = []
+    bottom: dict = {}  # top of S when each edge was entered
+    ref: dict = {}
+    nxt = [0] * n
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            i = nxt[v]
+            if i < len(out[v]):
+                nxt[v] = i + 1
+                ei = out[v][i]
+                bottom[ei] = S[-1] if S else None
+                w = ei % n
+                if parent_edge[w] == ei:
+                    stack.append(w)
+                    continue
+                S.append([None, None, ei, ei])
+            else:
+                stack.pop()
+                ei = parent_edge[v]
+                if ei is None:
+                    continue
+                # trim the back edges that end at v's parent u
+                u = ei // n
+                hu = height[u]
+                while S:
+                    P = S[-1]
+                    if P[0] is None:
+                        lowest = lowpt[P[2]]
+                    elif P[2] is None:
+                        lowest = lowpt[P[0]]
+                    else:
+                        lowest = min(lowpt[P[0]], lowpt[P[2]])
+                    if lowest != hu:
+                        break
+                    S.pop()
+                if S:
+                    P = S[-1]
+                    while P[1] is not None and P[1] % n == u:
+                        P[1] = ref.get(P[1])
+                    if P[1] is None:
+                        P[0] = None
+                    while P[3] is not None and P[3] % n == u:
+                        P[3] = ref.get(P[3])
+                    if P[3] is None:
+                        P[2] = None
+                v = u
+            # ei has just been entered or finished at its tail v; if it is a
+            # later child of v with return edges below v, add its constraints
+            if lowpt[ei] >= height[v] or ei == out[v][0]:
+                continue
+            low_e = lowpt[parent_edge[v]]
+            P = [None, None, None, None]
+            while True:  # merge the return edges of ei into P's right
+                Q = S.pop()
+                if Q[0] is not None:
+                    Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+                    if Q[0] is not None:
+                        return False
+                if lowpt[Q[2]] > low_e:
+                    if P[2] is None:
+                        P[3] = Q[3]
+                    else:
+                        ref[P[2]] = Q[3]
+                    P[2] = Q[2]
+                if (S[-1] if S else None) is bottom[ei]:
+                    break
+            low_i = lowpt[ei]
+            while True:  # merge the conflicting pairs of earlier children
+                Q = S[-1]
+                if Q[3] is not None and lowpt[Q[3]] > low_i:
+                    Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+                    if Q[3] is not None and lowpt[Q[3]] > low_i:
+                        return False
+                elif Q[1] is None or lowpt[Q[1]] <= low_i:
+                    break
+                S.pop()
+                ref[P[2]] = Q[3]
+                if Q[2] is not None:
+                    P[2] = Q[2]
+                if P[0] is None:
+                    P[1] = Q[1]
+                else:
+                    ref[P[0]] = Q[1]
+                P[0] = Q[0]
+            if P[0] is not None or P[2] is not None:
+                S.append(P)
+    return True
+
+
+def is_planar_with(edges, candidate) -> bool:
+    """Whether the accumulated edge set stays planar after one more edge.
+
+    Endpoints may be any hashable labels; self-loops and repeated edges do
+    not change the answer.
+    """
+    index: dict = {}
+    pairs = set()
+    for u, v, *_ in (*edges, candidate):
+        a, b = (index.setdefault(x, len(index)) for x in (u, v))
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    adj: list[list[int]] = [[] for _ in index]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    return _is_planar(len(index), adj)
+
+
+def build_pmfg(matrix: DistanceMatrix) -> FilteredGraph:
     """Greedy planar filtering: accept each edge iff the graph stays planar.
 
     Stops once 3(n-2) edges are accepted, which is the maximal planar edge
-    count; the result always contains the MST of the same matrix.
+    count; the result always contains the MST of the same matrix. Each
+    candidate joins the neighbour lists of the accepted graph for one
+    planarity test and leaves them again if the test rejects it.
     """
-    if genus != 0:
-        raise NotImplementedError("only genus-0 construction is implemented")
     if matrix.n < 3:
         raise ValueError("PMFG needs at least 3 nodes")
+    index = _node_index(matrix)
     target = 3 * (matrix.n - 2)
     accepted: list[tuple[str, str, float]] = []
-    g = nx.Graph()
-    g.add_nodes_from(matrix.tickers)
+    adj: list[list[int]] = [[] for _ in range(matrix.n)]
     for u, v, w in ordered_edges(matrix):
-        g.add_edge(u, v)
-        if not nx.check_planarity(g)[0]:
-            g.remove_edge(u, v)
+        a, b = index[u], index[v]
+        adj[a].append(b)
+        adj[b].append(a)
+        if not _is_planar(matrix.n, adj):
+            adj[a].pop()
+            adj[b].pop()
             continue
         accepted.append((u, v, w))
         if len(accepted) == target:

@@ -1,13 +1,15 @@
 """Independent slow oracles used to cross-check the production algorithms.
 
-Everything here is deliberately naive: quadratic scans, exhaustive
-enumeration, and simulation. None of it shares code with the package.
+Everything here is deliberately naive (quadratic scans, exhaustive
+enumeration, simulation) or is the library-based code that a faster
+implementation replaced. None of it shares code with the package.
 """
 
 from __future__ import annotations
 
 import itertools
 
+import networkx as nx
 import numpy as np
 import scipy.linalg
 
@@ -38,6 +40,28 @@ def sorted_pair_edges(tickers, values) -> list[tuple[str, str, float]]:
             edges.append((u, v, float(values[i][j])))
     edges.sort(key=lambda e: (e[2], e[0], e[1]))
     return edges
+
+
+def networkx_pmfg_edges(tickers, values) -> list[tuple[str, str, float]]:
+    """The greedy PMFG loop on networkx's planarity test.
+
+    Each pair, in ``sorted_pair_edges`` order, joins an ``nx.Graph`` and is
+    kept iff ``nx.check_planarity`` still accepts the graph, until 3(n-2)
+    edges are kept.
+    """
+    target = 3 * (len(tickers) - 2)
+    accepted = []
+    g = nx.Graph()
+    g.add_nodes_from(tickers)
+    for u, v, w in sorted_pair_edges(tickers, values):
+        g.add_edge(u, v)
+        if not nx.check_planarity(g)[0]:
+            g.remove_edge(u, v)
+            continue
+        accepted.append((u, v, w))
+        if len(accepted) == target:
+            break
+    return accepted
 
 
 def min_spanning_tree_weight(weights: np.ndarray) -> float:

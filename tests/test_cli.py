@@ -67,6 +67,22 @@ def test_run_partial_exit_code(tmp_path, capsys):
     assert printed["status"] == "partial"
 
 
+def test_run_where_every_combination_fails_exits_four(tmp_path, capsys):
+    # correlation is undefined for the constant column C, and it is the only method
+    lines = ["date,A,B,C"]
+    for i in range(40):
+        date = f"2020-{i // 28 + 1:02d}-{i % 28 + 1:02d}"
+        lines.append(f"{date},{100 + i % 7},{50 + i % 5},25.0")
+    path = tmp_path / "constant.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code = cli.main(
+        ["run", "--input", str(path), "--output-dir", str(tmp_path / "out"),
+         "--methods", "correlation"]
+    )
+    assert code == cli.EXIT_FAILED == 4
+    assert json.loads(capsys.readouterr().out)["status"] == "failed"
+
+
 def test_run_missing_input_exits_one(tmp_path, capsys):
     code = cli.main(
         ["run", "--input", str(tmp_path / "nope.csv"), "--output-dir", str(tmp_path)]
@@ -305,6 +321,19 @@ def test_export_dot_contains_edges(matrix_file, capsys):
     assert code == cli.EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("graph") and "--" in out
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [("nan", "(B, C): distance nan is not finite"),
+     ("0.7", "(B, C): distance 0.7 differs from its mirror entry")],
+)
+def test_export_bad_matrix_exits_one(tmp_path, capsys, cell, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f",A,B,C\nA,0,0.2,0.3\nB,0.2,0,{cell}\nC,0.3,0.4,0\n")
+    code = cli.main(["export", "--matrix", str(path), "--kind", "pmfg"])
+    assert code == cli.EXIT_INPUT
+    assert message in capsys.readouterr().err
 
 
 def test_export_missing_matrix_exits_one(tmp_path, capsys):

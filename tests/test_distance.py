@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirnet import distance, lz
 from mirnet.distance import (
+    DistanceMatrix,
     build_matrix,
     corr_distance,
     mir_distance,
@@ -12,7 +15,9 @@ from mirnet.distance import (
 from mirnet.errors import (
     AlignmentError,
     DegeneratePairError,
+    FormatError,
     UndefinedCorrelationError,
+    ValidationError,
 )
 from mirnet.ingest import ReturnSeries, SymbolSequence, discretize
 
@@ -297,3 +302,60 @@ class TestBuildMatrix:
         lines = text.strip().splitlines()
         assert len(lines) == 5
         assert lines[0].split(",")[1:] == list(m.tickers)
+
+
+@st.composite
+def printed_matrices(draw):
+    """Symmetric zero-diagonal matrices of values that survive the 10-digit
+    text format unchanged."""
+    n = draw(st.integers(1, 8))
+    tickers = draw(st.lists(st.text("ABCXYZ.-_0123456789", min_size=1, max_size=4),
+                            min_size=n, max_size=n, unique=True))
+    upper = draw(st.lists(st.floats(0, 2, allow_subnormal=False),
+                          min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    values = np.zeros((n, n))
+    values[np.triu_indices(n, 1)] = [float(f"{v:.10g}") for v in upper]
+    return DistanceMatrix(tuple(tickers), "imported", values + values.T)
+
+
+class TestDistanceMatrix:
+    @settings(max_examples=100, deadline=None)
+    @given(printed_matrices(), st.sampled_from([",", ";", "\t"]))
+    def test_delimited_round_trip(self, m, delimiter):
+        back = DistanceMatrix.from_delimited(m.to_delimited(delimiter), delimiter)
+        assert back.tickers == m.tickers and back.method == "imported"
+        assert np.array_equal(back.values, m.values)
+
+    def test_values_become_a_float_array(self):
+        m = DistanceMatrix(("A", "B"), "x", [[0, 1], [1, 0]])
+        assert m.values.dtype == float and m.values[0, 1] == 1.0
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.zeros((3, 2)), r"shape \(3, 2\), expected \(3, 3\) for 3 tickers"),
+            ([[0, 1, np.nan], [1, 0, 2], [np.nan, 2, 0]], r"\(A, C\): distance nan is not finite"),
+            ([[0, 1, 2], [1, 0, np.inf], [2, np.inf, 0]], r"\(B, C\): distance inf is not finite"),
+            ([[0, 1, 2], [1, 0, 3], [2, 3 + 1e-15, 0]], r"\(B, C\): distance 3.0 differs from its mirror"),
+            ([[0, 1, 2], [1, 0, 3], [2, 3, 1e-300]], r"\(C, C\): distance 1e-300 on the diagonal is not 0"),
+        ],
+        ids=["shape", "nan", "inf", "asymmetric", "diagonal"],
+    )
+    def test_bad_values_rejected(self, values, message):
+        with pytest.raises(ValidationError, match=message):
+            DistanceMatrix(("A", "B", "C"), "x", np.asarray(values, dtype=float))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty distance matrix"),
+            (",A,B\nA,0,1\n", "2 tickers in the header but 1 rows"),
+            (",A,B\nA,0,1\nC,1,0\n", "row 2 is 'C', expected 'B'"),
+            (",A,B\nA,0,1\nB,1\n", "row B: 1 values, expected 2"),
+            (",A,B\nA,0,x\nB,1,0\n", r"\(A, B\): 'x' is not a number"),
+        ],
+        ids=["empty", "missing-row", "misplaced-row", "ragged-row", "not-a-number"],
+    )
+    def test_malformed_text_rejected(self, text, message):
+        with pytest.raises(FormatError, match=message):
+            DistanceMatrix.from_delimited(text)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirnet.distance import DistanceMatrix
+from mirnet.errors import ValidationError
 from mirnet.graph import (
     build_mst,
     build_pmfg,
@@ -17,7 +18,12 @@ from mirnet.graph import (
     to_json,
 )
 
-from oracles import is_planar_slow, min_spanning_tree_weight, sorted_pair_edges
+from oracles import (
+    is_planar_slow,
+    min_spanning_tree_weight,
+    networkx_pmfg_edges,
+    sorted_pair_edges,
+)
 
 
 def matrix_from(tickers, values, method="correlation"):
@@ -25,12 +31,12 @@ def matrix_from(tickers, values, method="correlation"):
 
 
 @st.composite
-def tied_matrices(draw):
+def tied_matrices(draw, min_n=2, max_n=16, unique=False):
     """Matrices whose distances come from three values, so ties are common;
-    tickers may repeat and do not sort in index order."""
-    n = draw(st.integers(2, 16))
-    pool = ["A", "AA", "B", "Z", "a", "b10", "b2", "\u00e9"] + [f"T{k}" for k in range(16)]
-    tickers = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    tickers do not sort in index order and, unless unique, may repeat."""
+    n = draw(st.integers(min_n, max_n))
+    pool = ["A", "AA", "B", "Z", "a", "b10", "b2", "\u00e9"] + [f"T{k}" for k in range(max_n)]
+    tickers = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n, unique=unique))
     upper = draw(
         st.lists(st.sampled_from([0.1, 0.5, 0.9]), min_size=n * (n - 1) // 2,
                  max_size=n * (n - 1) // 2)
@@ -38,6 +44,47 @@ def tied_matrices(draw):
     values = np.zeros((n, n))
     values[np.triu_indices(n, 1)] = upper
     return matrix_from(tickers, values + values.T)
+
+
+@st.composite
+def small_graphs(draw):
+    """Edge lists on 2 to 9 nodes, each pair at most once, in drawn order."""
+    n = draw(st.integers(2, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True))
+    return list(range(n)), edges
+
+
+@st.composite
+def larger_graphs(draw):
+    """Graphs of up to about 60 nodes with string labels: G(n, p), trees with a
+    few chords, or maximal planar graphs with a few edges moved; sometimes with
+    a second component, a repeated edge or a self-loop."""
+    rnd = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(3, 45))
+    shape = draw(st.sampled_from(["gnp", "tree", "triangulation"]))
+    if shape == "gnp":
+        g = nx.gnp_random_graph(n, rnd.choice([0.05, 0.1, 0.2, 0.4]), seed=rnd.randrange(2**31))
+    elif shape == "tree":
+        g = nx.random_labeled_tree(n, seed=rnd.randrange(2**31))
+        g.add_edges_from((rnd.randrange(n), rnd.randrange(n)) for _ in range(rnd.randrange(6)))
+    else:
+        g = nx.Graph([(0, 1), (0, 2), (1, 2)])
+        faces = [(0, 1, 2), (0, 1, 2)]
+        for k in range(3, n):
+            a, b, c = faces.pop(rnd.randrange(len(faces)))
+            g.add_edges_from([(a, k), (b, k), (c, k)])
+            faces += [(a, b, k), (a, c, k), (b, c, k)]
+        edges = list(g.edges)
+        g.remove_edges_from(rnd.sample(edges, rnd.randrange(3)))
+        g.add_edges_from((rnd.randrange(n), rnd.randrange(n)) for _ in range(rnd.randrange(3)))
+    if draw(st.booleans()):
+        g = nx.disjoint_union(g, nx.gnp_random_graph(rnd.randint(2, 15), 0.4, seed=rnd.randrange(2**31)))
+    edges = [(f"v{u}", f"v{v}") for u, v in g.edges]
+    rnd.shuffle(edges)
+    if edges and draw(st.booleans()):
+        edges.append(edges[0][::-1])
+    return g, edges
 
 
 def random_matrix(rng, n, tickers=None):
@@ -96,10 +143,10 @@ class TestBuildMst:
         m = random_matrix(np.random.default_rng(4), 12)
         assert build_mst(m).edges == build_mst(m).edges
 
-    def test_genus_reserved(self):
-        m = random_matrix(np.random.default_rng(5), 6)
-        with pytest.raises(NotImplementedError):
-            build_mst(m, genus=1)
+    def test_repeated_ticker_rejected(self):
+        m = matrix_from(["A", "B", "A"], np.ones((3, 3)) - np.eye(3))
+        with pytest.raises(ValidationError, match="A: ticker appears more than once"):
+            build_mst(m)
 
 
 class TestIsPlanarWith:
@@ -135,6 +182,31 @@ class TestIsPlanarWith:
             got = is_planar_with(edges[:-1], edges[-1])
             want = is_planar_slow(nodes, edges)
             assert got == want, (nodes, edges)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs())
+    def test_equals_minor_oracle(self, graph):
+        nodes, edges = graph
+        assert is_planar_with(edges[:-1], edges[-1]) == is_planar_slow(nodes, edges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(larger_graphs())
+    def test_equals_networkx(self, graph):
+        g, edges = graph
+        if edges:
+            assert is_planar_with(edges[:-1], edges[-1]) == nx.check_planarity(g)[0]
+
+    def test_repeats_and_self_loops_ignored(self):
+        k33 = [(a, b) for a in "abc" for b in "xyz"]
+        assert not is_planar_with(k33 + [("x", "a"), ("a", "a")], ("b", "y"))
+        assert is_planar_with(k33[:-1] + [("z", "z"), ("x", "a")], ("a", "y"))
+
+    def test_long_paths_need_no_recursion(self):
+        # a 3000-node cycle with a K5 at its far end: DFS depth 3000
+        cycle = [(k, (k + 1) % 3000) for k in range(3000)]
+        k5 = list(itertools.combinations(range(2995, 3000), 2))
+        assert is_planar_with(cycle, (0, 1500))
+        assert not is_planar_with(cycle + k5[:-1], k5[-1])
 
 
 class TestBuildPmfg:
@@ -182,10 +254,27 @@ class TestBuildPmfg:
         m = random_matrix(np.random.default_rng(14), 10)
         assert build_pmfg(m).edges == build_pmfg(m).edges
 
-    def test_genus_reserved(self):
-        m = random_matrix(np.random.default_rng(15), 6)
-        with pytest.raises(NotImplementedError):
-            build_pmfg(m, genus=2)
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 11, 17, 26, 40])
+    def test_equals_networkx_loop(self, n):
+        m = random_matrix(np.random.default_rng(100 + n), n)
+        assert build_pmfg(m).edges == networkx_pmfg_edges(m.tickers, m.values)
+
+    def test_equals_networkx_loop_on_ties_n40(self):
+        rng = np.random.default_rng(140)
+        values = np.triu(rng.choice([0.1, 0.5, 0.9], size=(40, 40)), 1)
+        tickers = [f"T{k}" for k in rng.permutation(40)]
+        m = matrix_from(tickers, values + values.T)
+        assert build_pmfg(m).edges == networkx_pmfg_edges(m.tickers, m.values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_matrices(min_n=3, max_n=14, unique=True))
+    def test_equals_networkx_loop_under_ties(self, m):
+        assert build_pmfg(m).edges == networkx_pmfg_edges(m.tickers, m.values)
+
+    def test_repeated_ticker_rejected(self):
+        m = matrix_from(["A", "B", "A"], np.ones((3, 3)) - np.eye(3))
+        with pytest.raises(ValidationError, match="A: ticker appears more than once"):
+            build_pmfg(m)
 
 
 class TestExports:

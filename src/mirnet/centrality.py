@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 from scipy.linalg import lapack
 
 from .errors import AlignmentError
@@ -101,14 +100,23 @@ def markov_centrality(graph: FilteredGraph, weighted: bool = False) -> Centralit
     return CentralityVector(tickers=graph.nodes, scores=scores, graph_ref=ref)
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n; exactly equal values share the mean of their ranks."""
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
+
+
 def compare_centralities(a: CentralityVector, b: CentralityVector) -> dict:
-    """Pearson and Spearman correlation between two score vectors."""
+    """Pearson and Spearman correlation between two score vectors; Spearman
+    ranks exact ties by their average rank, as ``scipy.stats.spearmanr`` does."""
     if a.tickers != b.tickers:
         raise AlignmentError(
             f"ticker sets differ: {a.tickers} vs {b.tickers}"
         )
     pearson_r = float(np.corrcoef(a.scores, b.scores)[0, 1])
-    spearman_r = float(scipy.stats.spearmanr(a.scores, b.scores).statistic)
+    # ranks as columns and the [1, 0] entry, as spearmanr does: the same bits
+    ranks = np.column_stack([_average_ranks(v.scores) for v in (a, b)])
+    spearman_r = float(np.corrcoef(ranks, rowvar=False)[1, 0])
     return {
         "a": a.graph_ref,
         "b": b.graph_ref,

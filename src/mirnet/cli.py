@@ -9,18 +9,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import lz
-from .distance import MIR_ESTIMATOR, DistanceMatrix
+from . import graph, lz
+from .distance import CORR_VARIANTS, MIR_ESTIMATOR, DistanceMatrix
 from .errors import MirnetError
-from .graph import EXPORTERS, build_mst, build_pmfg
 from .ingest import discretize, load_price_table, log_returns
 from .pipeline import AnalysisConfig, run_pipeline
-from .synth import SynthSpec, generate_price_table
+from .synth import MODES, SynthSpec, generate_price_table
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -29,82 +28,75 @@ EXIT_INTERNAL = 3
 EXIT_FAILED = 4
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--input", help="delimited price table")
-    p.add_argument("--output-dir", help="directory for result artifacts")
+def _int_list(text: str) -> list[int]:
+    return [int(a) for a in text.split(",")]
+
+
+def _add_input_flags(p: argparse.ArgumentParser) -> None:
+    """Flags that both run and entropy read; each dest is a config field."""
+    p.add_argument("--input", dest="input_path", metavar="INPUT",
+                   help="delimited price table")
     p.add_argument("--delimiter", help="field delimiter (default ,)")
     p.add_argument("--date-column", help="name of the date column (default date)")
-    p.add_argument(
-        "--alphabet-sizes",
-        help="comma-separated alphabet sizes for MIR methods (default 4,10)",
-    )
-    p.add_argument(
-        "--methods", help="comma-separated distance methods (default correlation,mir)"
-    )
-    p.add_argument("--graph-kinds", help="comma-separated graph kinds (default mst,pmfg)")
+    p.add_argument("--alphabet-sizes", type=_int_list,
+                   help="comma-separated alphabet sizes for MIR methods (default 4,10)")
+    p.add_argument("--min-length", type=int,
+                   help="minimum usable sequence length (default 500)")
+
+
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """The rest of the run flags; each dest is a config field."""
+    p.add_argument("--config", help="JSON config file; flags override its fields")
+    p.add_argument("--output-dir", help="directory for result artifacts")
+    p.add_argument("--methods", type=lambda text: text.split(","),
+                   help="comma-separated distance methods (default correlation,mir)")
+    p.add_argument("--graph-kinds", type=lambda text: text.split(","),
+                   help="comma-separated graph kinds (default mst,pmfg)")
     p.add_argument(
         "--corr-metric",
-        choices=["one_minus_r2", "sqrt"],
+        dest="corr_variant",
+        choices=CORR_VARIANTS,
         help="correlation distance form (default 1 - rho^2)",
     )
     p.add_argument("--weighted-walk", action="store_true", default=None,
                    help="use similarity-weighted random walk for centrality")
-    p.add_argument("--min-length", type=int, help="minimum usable sequence length")
     p.add_argument("--allow-short", action="store_true", default=None,
                    help="estimate below the minimum length, with a warning")
-    p.add_argument("--zero-degenerate", action="store_true", default=None,
+    p.add_argument("--zero-degenerate", dest="zero_for_degenerate",
+                   action="store_true", default=None,
                    help="map degenerate constant pairs to distance 0 instead of failing")
-    p.add_argument("--seed", type=int, help="seed for simulation oracles")
+
+
+def _given(args, cls) -> dict:
+    """The flags given, keyed by the dataclass fields of ``cls`` they set."""
+    values = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _config_from_args(args) -> AnalysisConfig:
     values: dict = {}
     if args.config:
         values = json.loads(Path(args.config).read_text())
-    overrides = {
-        "input_path": args.input,
-        "output_dir": args.output_dir,
-        "delimiter": args.delimiter,
-        "date_column": args.date_column,
-        "corr_variant": args.corr_metric,
-        "weighted_walk": args.weighted_walk,
-        "min_length": args.min_length,
-        "allow_short": args.allow_short,
-        "zero_for_degenerate": args.zero_degenerate,
-        "seed": args.seed,
-    }
-    if args.alphabet_sizes:
-        overrides["alphabet_sizes"] = [int(a) for a in args.alphabet_sizes.split(",")]
-    if args.methods:
-        overrides["methods"] = args.methods.split(",")
-    if args.graph_kinds:
-        overrides["graph_kinds"] = args.graph_kinds.split(",")
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    known = {f.name for f in fields(AnalysisConfig)}
-    unknown = set(values) - known
+    unknown = set(values) - {f.name for f in fields(AnalysisConfig)}
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    values.update(_given(args, AnalysisConfig))
     if "input_path" not in values or "output_dir" not in values:
         raise ValueError("both --input and --output-dir (or config equivalents) are required")
     return AnalysisConfig(**values)
 
 
 def _cmd_run(args) -> int:
-    cfg = _config_from_args(args)
-    manifest = run_pipeline(cfg)
+    manifest = run_pipeline(_config_from_args(args))
     print(json.dumps({k: v for k, v in manifest.items() if k != "config"}, indent=2))
-    if manifest["status"] == "ok":
-        return EXIT_OK
-    if manifest["status"] == "partial":
-        return EXIT_PARTIAL
-    return EXIT_FAILED
+    return {"ok": EXIT_OK, "partial": EXIT_PARTIAL}.get(manifest["status"], EXIT_FAILED)
 
 
 def _cmd_entropy(args) -> int:
-    cfg = _config_from_args(args)
+    if args.input_path is None:
+        raise ValueError("--input is required")
     series = load_price_table(
-        cfg.input_path, delimiter=cfg.delimiter, date_column=cfg.date_column
+        args.input_path, delimiter=args.delimiter, date_column=args.date_column
     )
     by_ticker = {s.ticker: s for s in series}
     if args.ticker not in by_ticker:
@@ -117,18 +109,18 @@ def _cmd_entropy(args) -> int:
     n = len(returns)
     print(f"ticker: {args.ticker}")
     print(f"returns: {n}")
-    if n < cfg.min_length:
+    if n < args.min_length:
         print(
-            f"warning: only {n} data points (below {cfg.min_length}); the "
+            f"warning: only {n} data points (below {args.min_length}); the "
             "entropy-rate estimate will carry substantial finite-sample bias"
         )
     if np.ptp(returns.returns) == 0:
         print("note: series is constant; entropy collapses to the degenerate floor")
     estimator = args.estimator
-    for alpha in cfg.alphabet_sizes:
+    for alpha in args.alphabet_sizes:
         sym = discretize(returns, alpha)
         est = lz.entropy_rate(
-            sym, min_length=cfg.min_length, allow_short=True, estimator=estimator
+            sym, min_length=args.min_length, allow_short=True, estimator=estimator
         )
         flag = " (exceeds log2(alpha) cap)" if est.overshoot_flagged else ""
         print(
@@ -139,25 +131,16 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = SynthSpec(
-        mode=args.mode,
-        n_instruments=args.instruments,
-        n_rows=args.rows,
-        seed=args.seed,
-        noise_scale=args.noise_scale,
-        factor_loading=args.factor_loading,
-    )
-    table = generate_price_table(spec)
-    Path(args.out).write_text(table)
-    print(f"wrote {args.rows} rows x {args.instruments} instruments to {args.out}")
+    spec = SynthSpec(**_given(args, SynthSpec))
+    Path(args.out).write_text(generate_price_table(spec))
+    print(f"wrote {spec.n_rows} rows x {spec.n_instruments} instruments to {args.out}")
     return EXIT_OK
 
 
 def _cmd_export(args) -> int:
     matrix = DistanceMatrix.from_delimited(Path(args.matrix).read_text(), args.delimiter)
-    builder = build_mst if args.kind == "mst" else build_pmfg
-    fg = builder(matrix)
-    text = EXPORTERS[args.format](fg)
+    fg = getattr(graph, f"build_{args.kind}")(matrix)
+    text = graph.EXPORTERS[args.format](fg)
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.kind} ({len(fg.edges)} edges) to {args.out}")
@@ -175,10 +158,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run the full pipeline")
+    p_run.set_defaults(handler=_cmd_run)
+    _add_input_flags(p_run)
     _add_config_flags(p_run)
 
     p_ent = sub.add_parser("entropy", help="entropy-rate diagnostics for one ticker")
-    _add_config_flags(p_ent)
+    _add_input_flags(p_ent)
+    # the shared flags default to the fields of a default run config
+    p_ent.set_defaults(handler=_cmd_entropy, **asdict(AnalysisConfig(None, None)))
     p_ent.add_argument("ticker", help="instrument to diagnose")
     p_ent.add_argument(
         "--estimator",
@@ -189,18 +176,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_synth = sub.add_parser("synth", help="generate a synthetic price table")
-    p_synth.add_argument("--mode", choices=["iid", "factor", "nonlinear"], required=True)
+    p_synth.set_defaults(handler=_cmd_synth)
+    p_synth.add_argument("--mode", choices=MODES, required=True)
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--instruments", type=int, default=15)
-    p_synth.add_argument("--rows", type=int, default=1000)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--noise-scale", type=float, default=0.1)
-    p_synth.add_argument("--factor-loading", type=float, default=0.7)
+    # unset flags keep the SynthSpec defaults
+    p_synth.add_argument("--instruments", dest="n_instruments", type=int)
+    p_synth.add_argument("--rows", dest="n_rows", type=int)
+    p_synth.add_argument("--seed", type=int)
+    p_synth.add_argument("--noise-scale", type=float)
+    p_synth.add_argument("--factor-loading", type=float)
 
     p_exp = sub.add_parser("export", help="filter a saved distance matrix into a graph")
+    p_exp.set_defaults(handler=_cmd_export)
     p_exp.add_argument("--matrix", required=True, help="delimited distance matrix file")
-    p_exp.add_argument("--kind", choices=["mst", "pmfg"], default="mst")
-    p_exp.add_argument("--format", choices=list(EXPORTERS), default="json")
+    p_exp.add_argument("--kind", choices=graph.GRAPH_KINDS, default="mst")
+    p_exp.add_argument("--format", choices=list(graph.EXPORTERS), default="json")
     p_exp.add_argument("--delimiter", default=",")
     p_exp.add_argument("--out", help="output file (stdout if omitted)")
 
@@ -210,14 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "entropy": _cmd_entropy,
-        "synth": _cmd_synth,
-        "export": _cmd_export,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (MirnetError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -17,6 +17,7 @@ from .errors import (
 from .ingest import ReturnSeries, SymbolSequence
 
 METHODS = ("correlation", "mir", "mir_prime")
+CORR_VARIANTS = ("one_minus_r2", "sqrt")
 
 # MIR distances use the source paper's ratio estimator, not the library
 # default: its O(1/log n) bias largely cancels in the normalised distances,
@@ -165,6 +166,10 @@ def _correlations(series) -> np.ndarray:
 
 def _corr_to_distance(rho, variant: str):
     """1 - rho^2, or sqrt(2(1 - rho)) under variant='sqrt'; clipped at 0."""
+    if variant not in CORR_VARIANTS:
+        raise ValueError(
+            f"unknown correlation variant {variant!r}; expected one of {CORR_VARIANTS}"
+        )
     if variant == "sqrt":
         return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - rho)))
     return np.maximum(0.0, 1.0 - rho * rho)

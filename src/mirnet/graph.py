@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -11,12 +12,15 @@ import numpy as np
 from .distance import DistanceMatrix
 from .errors import ValidationError
 
+# each kind names its builder, build_<kind>
+GRAPH_KINDS = ("mst", "pmfg")
+
 
 @dataclass
 class FilteredGraph:
     """Result of ordered edge insertion under a topological constraint."""
 
-    kind: str  # "mst" or "pmfg"
+    kind: str  # one of GRAPH_KINDS
     nodes: tuple[str, ...]
     edges: list[tuple[str, str, float]]  # insertion order
     source_method: str
@@ -61,30 +65,6 @@ def ordered_edges(matrix: DistanceMatrix) -> list[tuple[str, str, float]]:
     ]
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-        self.size = {x: 1 for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-
 def _node_index(matrix: DistanceMatrix) -> dict[str, int]:
     """Position of each ticker; a repeated ticker would merge two nodes."""
     index: dict[str, int] = {}
@@ -99,10 +79,18 @@ def build_mst(matrix: DistanceMatrix) -> FilteredGraph:
     if matrix.n < 2:
         raise ValueError("MST needs at least 2 nodes")
     index = _node_index(matrix)
-    uf = _UnionFind(range(matrix.n))
+    root = list(range(matrix.n))  # union-find forest, with path halving
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
     accepted = []
     for u, v, w in ordered_edges(matrix):
-        if uf.union(index[u], index[v]):
+        a, b = find(index[u]), find(index[v])
+        if a != b:
+            root[a] = b
             accepted.append((u, v, w))
             if len(accepted) == matrix.n - 1:
                 break
@@ -348,8 +336,6 @@ def build_pmfg(matrix: DistanceMatrix) -> FilteredGraph:
 
 
 def to_graphml(graph: FilteredGraph) -> str:
-    import io
-
     buf = io.BytesIO()
     nx.write_graphml(graph.to_networkx(), buf)
     return buf.getvalue().decode()

@@ -100,6 +100,9 @@ def load_price_table(
     if not rows:
         raise FormatError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise FormatError(f"{path}: repeated column names {repeated}")
     if date_column not in header:
         raise FormatError(
             f"{path}: header has no '{date_column}' column (columns: {header})"

@@ -293,17 +293,13 @@ def entropy_rate(
         raise ValueError(
             f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}"
         )
-    symbols = seq.symbols if hasattr(seq, "symbols") else seq
-    symbols = np.asarray(symbols, dtype=np.int64)
+    symbols, inferred_alphabet = _as_symbols(seq)
     n = symbols.size
     if n < 2:
         raise InsufficientDataError("entropy rate needs at least 2 symbols")
     _check_length(n, min_length, allow_short)
     if alphabet_size is None:
-        if hasattr(seq, "alphabet_size"):
-            alphabet_size = seq.alphabet_size
-        else:
-            alphabet_size = int(symbols.max()) + 1
+        alphabet_size = inferred_alphabet
     lam = match_lengths(symbols)
     value = _slope_rate(lam) if estimator == "slope" else float(ratio_rate(lam))
     return LzEstimate(value=value, n=n, alphabet_size=int(alphabet_size))
@@ -338,10 +334,8 @@ def joint_entropy_rate(
     estimator: str = DEFAULT_ESTIMATOR,
 ) -> LzEstimate:
     """Entropy rate of the product-alphabet pairing of x and y."""
-    z = join(x, y)
     return entropy_rate(
-        z.symbols,
-        alphabet_size=z.alphabet_size,
+        join(x, y),
         min_length=min_length,
         allow_short=allow_short,
         estimator=estimator,

@@ -1,7 +1,18 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mirnet
 from mirnet.centrality import (
+    CentralityVector,
     compare_centralities,
     markov_centrality,
     mean_first_passage,
@@ -203,7 +214,49 @@ class TestMarkovChainIdentities:
         assert np.allclose(np.diag(return_time), 1.0 / pi, atol=1e-8)
 
 
+# a few shared values make exact ties, and constant vectors are drawn directly
+SCORE_VALUES = st.one_of(
+    st.sampled_from([0.5, 1.0, 2.0]), st.floats(-1e3, 1e3, allow_nan=False)
+)
+
+
+@st.composite
+def score_pairs(draw):
+    n = draw(st.integers(2, 30))
+    vector = st.one_of(
+        st.lists(SCORE_VALUES, min_size=n, max_size=n),
+        SCORE_VALUES.map(lambda v: [v] * n),
+    )
+    return np.array(draw(vector)), np.array(draw(vector))
+
+
 class TestCompareCentralities:
+    @settings(max_examples=300, deadline=None)
+    @given(score_pairs())
+    def test_spearman_equals_scipy(self, pair):
+        a, b = pair
+        tickers = tuple(f"T{i}" for i in range(len(a)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ours = compare_centralities(
+                CentralityVector(tickers, a, "a"), CentralityVector(tickers, b, "b")
+            )["spearman"]
+            expected = scipy.stats.spearmanr(a, b).statistic
+        if np.isnan(expected):
+            assert np.isnan(ours)
+        else:
+            assert abs(ours - expected) <= 1e-12
+
+    def test_import_leaves_out_scipy_stats(self):
+        src = str(Path(mirnet.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, mirnet; print('scipy.stats' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"
+
     def test_self_comparison(self):
         cv = markov_centrality(path_graph(6))
         report = compare_centralities(cv, cv)

@@ -125,6 +125,16 @@ def test_run_rejects_unknown_config_field(price_file, tmp_path, capsys):
     assert "colour" in capsys.readouterr().err
 
 
+def test_run_rejects_unknown_graph_kind(price_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["run", "--input", str(price_file), "--output-dir", str(out),
+                     "--graph-kinds", "mst,tree"])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "'tree'" in err and "'mst', 'pmfg'" in err
+    assert not out.exists()
+
+
 def test_run_rejects_malformed_table(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("date,A,B\n2020-01-01,1.0\n")
@@ -139,12 +149,11 @@ def test_run_rejects_malformed_table(tmp_path, capsys):
 # mirnet entropy
 
 
-def test_entropy_reports_each_alphabet(price_file, tmp_path, capsys):
+def test_entropy_reports_each_alphabet(price_file, capsys):
     code = cli.main(
         [
             "entropy",
             "--input", str(price_file),
-            "--output-dir", str(tmp_path),
             "--alphabet-sizes", "4,10",
             "SYN00",
         ]
@@ -160,12 +169,11 @@ def test_entropy_reports_each_alphabet(price_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("estimator", lz.ESTIMATORS)
-def test_entropy_estimator_choice(estimator, price_file, tmp_path, capsys):
+def test_entropy_estimator_choice(estimator, price_file, capsys):
     code = cli.main(
         [
             "entropy",
             "--input", str(price_file),
-            "--output-dir", str(tmp_path),
             "--alphabet-sizes", "4",
             "--estimator", estimator,
             "SYN01",
@@ -182,17 +190,36 @@ def test_entropy_estimator_choice(estimator, price_file, tmp_path, capsys):
     ]
 
 
-def test_entropy_rejects_unknown_estimator(price_file, tmp_path, capsys):
+def test_entropy_rejects_unknown_estimator(price_file, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["entropy", "--input", str(price_file), "--output-dir", str(tmp_path),
-                  "--estimator", "lempel", "SYN01"])
+        cli.main(["entropy", "--input", str(price_file), "--estimator", "lempel", "SYN01"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_entropy_unknown_ticker_lists_available(price_file, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flag",
+    [["--output-dir", "out"], ["--config", "cfg.json"], ["--seed", "1"],
+     ["--methods", "mir"], ["--graph-kinds", "mst"], ["--allow-short"]],
+)
+def test_entropy_refuses_flags_it_does_not_read(flag, price_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["entropy", "--input", str(price_file), *flag, "SYN01"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+def test_run_refuses_seed(price_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--input", str(price_file), "--output-dir", str(tmp_path),
+                  "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def test_entropy_unknown_ticker_lists_available(price_file, capsys):
     code = cli.main(
-        ["entropy", "--input", str(price_file), "--output-dir", str(tmp_path), "ZZZ"]
+        ["entropy", "--input", str(price_file), "ZZZ"]
     )
     assert code == cli.EXIT_INPUT
     err = capsys.readouterr().err
@@ -204,7 +231,7 @@ def test_entropy_short_series_warns(tmp_path, capsys):
     path = tmp_path / "short.csv"
     path.write_text(generate_price_table(spec))
     code = cli.main(
-        ["entropy", "--input", str(path), "--output-dir", str(tmp_path), "SYN01"]
+        ["entropy", "--input", str(path), "SYN01"]
     )
     assert code == cli.EXIT_OK
     out = capsys.readouterr().out
@@ -219,7 +246,7 @@ def test_entropy_constant_series_notes_degeneracy(tmp_path, capsys):
     path = tmp_path / "const.csv"
     path.write_text("\n".join(lines) + "\n")
     code = cli.main(
-        ["entropy", "--input", str(path), "--output-dir", str(tmp_path), "A"]
+        ["entropy", "--input", str(path), "A"]
     )
     assert code == cli.EXIT_OK
     assert "constant" in capsys.readouterr().out

@@ -86,6 +86,11 @@ class TestCorrDistance:
         assert corr_distance(x, y, variant="sqrt") == pytest.approx(2.0)
         assert corr_distance(x, x, variant="sqrt") == pytest.approx(0.0)
 
+    def test_unknown_variant_rejected(self):
+        x, y = np.array([1.0, 2, 3]), np.array([3.0, 2, 1])
+        with pytest.raises(ValueError, match=r"'bogus'.*'one_minus_r2', 'sqrt'"):
+            corr_distance(x, y, variant="bogus")
+
 
 class TestMirDistance:
     def test_self_distance_exactly_zero(self):
@@ -222,6 +227,11 @@ class TestBuildMatrix:
         short = ReturnSeries("SHORT", rng.standard_normal(49))
         with pytest.raises(AlignmentError, match=r"pair \(G0, SHORT\)"):
             build_matrix([*good, short, flat], "correlation")
+
+    def test_unknown_corr_variant_rejected(self):
+        rng = np.random.default_rng(20)
+        with pytest.raises(ValueError, match=r"'bogus'.*'one_minus_r2', 'sqrt'"):
+            build_matrix(self.make_returns(rng, n=4), "correlation", corr_variant="bogus")
 
     def test_requires_three_instruments(self):
         rng = np.random.default_rng(11)

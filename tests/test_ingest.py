@@ -63,6 +63,12 @@ class TestLoadPriceTable:
         series = load_price_table(path, date_column="day")
         assert len(series) == 1
 
+    def test_repeated_ticker_rejected(self, tmp_path):
+        path = write(tmp_path, "date,A,A,B\n2020-01-01,1,2,3\n2020-01-02,1,2,3\n")
+        with pytest.raises(FormatError, match=r"prices\.csv: .*'A'") as exc:
+            load_price_table(path)
+        assert "'B'" not in str(exc.value)
+
     def test_tab_delimiter(self, tmp_path):
         path = write(tmp_path, "date\tA\n2020-01-01\t1.0\n2020-01-02\t1.1\n")
         series = load_price_table(path, delimiter="\t")

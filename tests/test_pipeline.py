@@ -6,6 +6,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
+from mirnet.errors import ValidationError
 from mirnet.pipeline import AnalysisConfig, run_pipeline
 from mirnet.synth import SynthSpec, generate_price_table
 
@@ -32,7 +33,7 @@ def small_config(price_file, out_dir, **overrides) -> AnalysisConfig:
 
 class TestConfig:
     def test_json_roundtrip(self):
-        cfg = AnalysisConfig(input_path="in.csv", output_dir="out", seed=17)
+        cfg = AnalysisConfig(input_path="in.csv", output_dir="out")
         assert AnalysisConfig.from_json(cfg.to_json()) == cfg
 
     def test_defaults_mirror_study_design(self):
@@ -40,6 +41,22 @@ class TestConfig:
         assert cfg.alphabet_sizes == [4, 10]
         assert cfg.methods == ["correlation", "mir"]
         assert cfg.graph_kinds == ["mst", "pmfg"]
+
+    @pytest.mark.parametrize(
+        "field, value, culprit, allowed",
+        [
+            ("graph_kinds", ["mst", "tree"], "'tree'", "'mst', 'pmfg'"),
+            ("graph_kinds", ["pmfg", "mst", "pmfg"], "'pmfg'", "'mst', 'pmfg'"),
+            ("methods", ["correlation", "mri"], "'mri'", "'correlation', 'mir', 'mir_prime'"),
+            ("methods", ["mir", "mir"], "'mir'", "'correlation', 'mir', 'mir_prime'"),
+            ("corr_variant", "bogus", "'bogus'", "'one_minus_r2', 'sqrt'"),
+        ],
+    )
+    def test_bad_choice_rejected(self, field, value, culprit, allowed):
+        with pytest.raises(ValidationError) as exc:
+            AnalysisConfig(input_path="in.csv", output_dir="out", **{field: value})
+        message = str(exc.value)
+        assert field in message and culprit in message and allowed in message
 
     def test_combinations_unique_artifacts(self):
         cfg = AnalysisConfig(input_path="in.csv", output_dir="out")
@@ -138,3 +155,82 @@ class TestRunPipeline:
         on_disk = json.loads((out / "manifest.json").read_text())
         assert on_disk["status"] == manifest["status"]
         assert on_disk["config"] == asdict(small_config(price_file, out))
+
+
+def snapshot(directory: Path) -> dict:
+    """Name -> bytes of each file in ``directory``; None for a subdirectory."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in directory.iterdir()}
+
+
+class TestPublish:
+    def test_rerun_removes_stale_artifacts(self, price_file, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(small_config(price_file, out))
+        assert list(out.glob("mir_a4_*")) and (out / "comparison_report.json").exists()
+
+        manifest = run_pipeline(small_config(price_file, out, min_length=10_000))
+        assert manifest["combinations"]["mir_a4"]["status"] == "error"
+        assert not list(out.glob("mir_a4_*"))
+        assert not (out / "comparison_report.json").exists()
+        assert not (out / "centrality_table.csv").exists()
+        written = manifest["combinations"]["correlation"]["artifacts"]
+        assert sorted(snapshot(out)) == sorted([*written, "manifest.json"])
+
+    def test_rerun_deletes_only_listed_basenames_inside_output_dir(self, price_file, tmp_path):
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        outside = tmp_path / "outside.csv"
+        outside.write_text("not an artifact")
+        listed = {"a": str(outside), "b": "..", "c": str(out / "sub"), "d": ""}
+        previous = {"combinations": {"old": {"status": "ok", "artifacts": listed}},
+                    "comparisons": []}
+        (out / "manifest.json").write_text(json.dumps(previous))
+        run_pipeline(small_config(price_file, out, methods=["correlation"]))
+        assert outside.read_text() == "not an artifact"
+        assert (out / "sub").is_dir()
+
+        # nothing is deleted when the previous manifest is missing or unreadable
+        for text in (None, "{", "[]", '{"combinations": []}'):
+            (out / "manifest.json").unlink()
+            if text is not None:
+                (out / "manifest.json").write_text(text)
+            (out / "old_mst.json").write_text("{}")
+            run_pipeline(small_config(price_file, out, methods=["correlation"]))
+            assert (out / "old_mst.json").exists()
+
+    # this run writes 23 files: 10 per combination, the two comparison files
+    # and the manifest, in that order
+    @pytest.mark.parametrize(
+        "failing_write, name",
+        [
+            (1, "correlation_distances.csv"),
+            (15, "mir_a4_mst.json"),
+            (21, "centrality_table.csv"),
+            (22, "comparison_report.json"),
+            (23, "manifest.json"),
+        ],
+    )
+    def test_failed_publish_keeps_previous_run(
+        self, price_file, tmp_path, monkeypatch, failing_write, name
+    ):
+        out = tmp_path / "out"
+        run_pipeline(small_config(price_file, out))
+        before = snapshot(out)
+        other = tmp_path / "other.csv"
+        spec = SynthSpec(mode="factor", n_instruments=8, n_rows=700, seed=4)
+        other.write_text(generate_price_table(spec))
+
+        write_text = Path.write_text
+        written = []
+
+        def failing_write_text(self, *args, **kwargs):
+            written.append(self.name)
+            if len(written) == failing_write:
+                raise OSError(f"no space left writing {self.name}")
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing_write_text)
+        with pytest.raises(OSError, match="no space left"):
+            run_pipeline(small_config(other, out))
+        assert written[-1] == name
+        assert snapshot(out) == before

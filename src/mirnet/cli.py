@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -26,6 +27,14 @@ EXIT_INPUT = 1
 EXIT_PARTIAL = 2
 EXIT_INTERNAL = 3
 EXIT_FAILED = 4
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _int_list(text: str) -> list[int]:
@@ -119,9 +128,12 @@ def _cmd_entropy(args) -> int:
     estimator = args.estimator
     for alpha in args.alphabet_sizes:
         sym = discretize(returns, alpha)
-        est = lz.entropy_rate(
-            sym, min_length=args.min_length, allow_short=True, estimator=estimator
-        )
+        with warnings.catch_warnings():
+            # a short series was reported above; lz would warn a second time
+            warnings.simplefilter("ignore", UserWarning)
+            est = lz.entropy_rate(
+                sym, min_length=args.min_length, allow_short=True, estimator=estimator
+            )
         flag = " (exceeds log2(alpha) cap)" if est.overshoot_flagged else ""
         print(
             f"alpha={alpha}: entropy rate {est.value:.4f} bits/symbol "
@@ -150,7 +162,7 @@ def _cmd_export(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mirnet",
         description="Hierarchical dependency networks from correlation and "
         "mutual-information-rate distances",

@@ -24,7 +24,7 @@ CORR_VARIANTS = ("one_minus_r2", "sqrt")
 # and its spread at a few thousand returns is several times smaller.
 MIR_ESTIMATOR = "paper"
 
-# joint-sequence symbols per match-length call in build_matrix: enough rows to
+# joint-sequence symbols per match-length call of a MIR matrix: enough rows to
 # spread numpy's per-call overhead; the kernel holds about 200 bytes a symbol,
 # and batches past 2**15 symbols ran slower at 2.5k-symbol rows, not faster
 JOINT_SYMBOL_BUDGET = 1 << 14
@@ -185,61 +185,58 @@ def corr_distance(x, y, *, variant: str = "one_minus_r2") -> float:
     return float(_corr_to_distance(pearson(x, y), variant))
 
 
-def _symbols(x) -> SymbolSequence:
-    if not isinstance(x, SymbolSequence):
-        raise TypeError("MIR distances require discretized SymbolSequence inputs")
-    return x
+def _mir_values(series, method, allow_short, min_length, zero_for_degenerate):
+    """MIR distances of every pair of ``series``, and how many were clamped.
 
-
-def _check_aligned(x: SymbolSequence, y: SymbolSequence) -> None:
-    if len(x) != len(y):
-        raise AlignmentError(
-            f"pair ({x.ticker}, {y.ticker}): length mismatch: {len(x)} vs {len(y)}"
-        )
-
-
-def _check_degenerate(x, y, zero_for_degenerate):
-    both_constant = all((s.symbols == s.symbols[:1]).all() for s in (x, y))
-    if both_constant:
-        if zero_for_degenerate:
-            return True
-        raise DegeneratePairError(
-            f"pair ({x.ticker}, {y.ticker}): both sequences constant, "
-            "MIR distance undefined"
-        )
-    return False
-
-
-def _distance_from_rates(method: str, hx: float, hy: float, hxy: float):
-    """One pair's MIR distance from its rate triple, and whether MIR was clamped.
-
-    MIR = HR(x) + HR(y) - HR(x,y) is clamped at zero, then "mir" gives
-    D = (HR(x,y) - MIR) / HR(x,y) and "mir_prime" D' = 1 - MIR / max(HR(x),
-    HR(y)), clipped to [0, 1].
+    Per series, once: the type, alphabet and length checks, its marginal
+    rate, and whether it is constant. Per pair, as arrays: the degenerate mask,
+    the joint rates (``JOINT_SYMBOL_BUDGET`` symbols per ``lz.match_lengths``
+    call), MIR = HR(x) + HR(y) - HR(x,y) clamped at zero, and D = (HR(x,y) -
+    MIR) / HR(x,y) or D' = 1 - MIR / max(HR(x), HR(y)) clipped to [0, 1]. The
+    count is of pairs whose MIR was negative before the clamp.
     """
-    raw_mir = hx + hy - hxy
-    mir = max(0.0, raw_mir)
+    if not all(isinstance(s, SymbolSequence) for s in series):
+        raise TypeError("MIR distances require discretized SymbolSequence inputs")
+    alphas = {s.alphabet_size for s in series}
+    if len(alphas) != 1:
+        raise AlignmentError(f"mixed alphabet sizes in one matrix: {sorted(alphas)}")
+    first = series[0]
+    for s in series:
+        if len(s) != len(first):
+            raise AlignmentError(
+                f"pair ({first.ticker}, {s.ticker}): length mismatch: "
+                f"{len(first)} vs {len(s)}"
+            )
+    opts = dict(min_length=min_length, allow_short=allow_short, estimator=MIR_ESTIMATOR)
+    h = np.array([lz.entropy_rate(s, **opts).value for s in series])
+    n = len(series)
+    constant = np.array([(s.symbols == s.symbols[:1]).all() for s in series])
+    i, j = np.triu_indices(n, 1)
+    degenerate = constant[i] & constant[j]
+    if degenerate.any() and not zero_for_degenerate:
+        k = degenerate.argmax()
+        raise DegeneratePairError(
+            f"pair ({series[i[k]].ticker}, {series[j[k]].ticker}): both sequences "
+            "constant, MIR distance undefined"
+        )
+    i, j = i[~degenerate], j[~degenerate]
+    hxy = np.empty(i.size)
+    rows_per_call = max(1, JOINT_SYMBOL_BUDGET // len(first))
+    # chunk by chunk: one joint batch alive at a time, not all n(n-1)/2 rows
+    for start in range(0, i.size, rows_per_call):
+        chunk = slice(start, start + rows_per_call)
+        joint = np.array([lz.join(series[a], series[b]).symbols
+                          for a, b in zip(i[chunk], j[chunk])])
+        hxy[chunk] = lz.ratio_rate(lz.match_lengths(joint))
+    raw = h[i] + h[j] - hxy
+    mir = np.maximum(raw, 0.0)
     if method == "mir":
         d = (hxy - mir) / hxy
     else:
-        d = 1.0 - mir / max(hx, hy)
-    return min(1.0, max(0.0, d)), raw_mir < 0.0
-
-
-def _pair_distance(
-    method: str, x, y, allow_short: bool, min_length: int, zero_for_degenerate: bool
-) -> float:
-    x, y = _symbols(x), _symbols(y)
-    if _check_degenerate(x, y, zero_for_degenerate):
-        return 0.0
-    _check_aligned(x, y)
-    opts = dict(
-        min_length=min_length, allow_short=allow_short, estimator=MIR_ESTIMATOR
-    )
-    hx = lz.entropy_rate(x, **opts).value
-    hy = lz.entropy_rate(y, **opts).value
-    hxy = lz.joint_entropy_rate(x, y, **opts).value
-    return _distance_from_rates(method, hx, hy, hxy)[0]
+        d = 1.0 - mir / np.maximum(h[i], h[j])
+    values = np.zeros((n, n))
+    values[i, j] = values[j, i] = np.clip(d, 0.0, 1.0)
+    return values, int((raw < 0.0).sum())
 
 
 def mir_distance(
@@ -256,7 +253,8 @@ def mir_distance(
     independent pairs approach 1. The rates come from the paper's estimator
     (``MIR_ESTIMATOR``), whose bias largely cancels in the ratio.
     """
-    return _pair_distance("mir", x, y, allow_short, min_length, zero_for_degenerate)
+    values, _ = _mir_values((x, y), "mir", allow_short, min_length, zero_for_degenerate)
+    return float(values[0, 1])
 
 
 def mir_prime_distance(
@@ -271,9 +269,10 @@ def mir_prime_distance(
 
     Uses the paper's estimator (``MIR_ESTIMATOR``), as ``mir_distance`` does.
     """
-    return _pair_distance(
-        "mir_prime", x, y, allow_short, min_length, zero_for_degenerate
+    values, _ = _mir_values(
+        (x, y), "mir_prime", allow_short, min_length, zero_for_degenerate
     )
+    return float(values[0, 1])
 
 
 def build_matrix(
@@ -291,17 +290,16 @@ def build_matrix(
     the upper triangle is mirrored, so the matrix is exactly symmetric with a
     zero diagonal. A constant series raises ``UndefinedCorrelationError``
     naming the ticker, and a length mismatch ``AlignmentError`` naming the
-    pair. For MIR methods the per-instrument entropy rates are computed once and
-    reused across pairs, and the matrix records how many pairs needed the
-    negative-mutual-complexity clamp. The joint sequences go to
-    ``lz.match_lengths`` as batches of rows, ``JOINT_SYMBOL_BUDGET`` symbols
-    at a time; each value equals the per-pair functions' bit for bit. A pair
-    of constant sequences raises ``DegeneratePairError`` (or is set to 0 under
-    ``zero_for_degenerate``) and a pair of unequal lengths raises
-    ``AlignmentError``, each naming the pair. MIR rates use the paper's estimator
-    (``MIR_ESTIMATOR``), as the per-pair distance functions do: the distances
-    are the paper's normalised metrics, and the slope estimator's larger
-    spread at a few thousand returns would reach them undamped.
+    pair. MIR matrices share one routine with ``mir_distance`` and
+    ``mir_prime_distance``; the matrix records how many pairs needed the
+    negative-mutual-complexity clamp. Lengths are checked before degeneracy:
+    a pair of unequal lengths raises ``AlignmentError`` naming it, even under
+    ``zero_for_degenerate``; then a pair of constant sequences raises
+    ``DegeneratePairError`` naming it, or is set to 0 under
+    ``zero_for_degenerate``. MIR rates use the paper's estimator
+    (``MIR_ESTIMATOR``): the distances are the paper's normalised metrics,
+    and the slope estimator's larger spread at a few thousand returns would
+    reach them undamped.
     """
     series = list(series)
     n = len(series)
@@ -309,43 +307,18 @@ def build_matrix(
         raise AlignmentError(f"need at least 3 instruments, got {n}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    tickers = tuple(s.ticker for s in series)
-    clamped = 0
-    params: dict = {}
-
     if method == "correlation":
-        params["variant"] = corr_variant
         d = _corr_to_distance(_correlations(series), corr_variant)
         values = np.triu(d, 1)
         values += values.T
+        params, clamped = {"variant": corr_variant}, 0
     else:
-        alphas = {s.alphabet_size for s in series}
-        if len(alphas) != 1:
-            raise AlignmentError(f"mixed alphabet sizes in one matrix: {sorted(alphas)}")
-        params["alphabet_size"] = alphas.pop()
-        values = np.zeros((n, n), dtype=float)
-        opts = dict(
-            min_length=min_length, allow_short=allow_short, estimator=MIR_ESTIMATOR
+        values, clamped = _mir_values(
+            series, method, allow_short, min_length, zero_for_degenerate
         )
-        marginal = [lz.entropy_rate(s, **opts).value for s in series]
-        pairs = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not _check_degenerate(series[i], series[j], zero_for_degenerate):
-                    _check_aligned(series[i], series[j])
-                    pairs.append((i, j))
-        rows_per_call = max(1, JOINT_SYMBOL_BUDGET // len(series[0]))
-        for start in range(0, len(pairs), rows_per_call):
-            chunk = pairs[start : start + rows_per_call]
-            joint = np.array([lz.join(series[i], series[j]).symbols for i, j in chunk])
-            hxy = lz.ratio_rate(lz.match_lengths(joint)).tolist()
-            for (i, j), h in zip(chunk, hxy):
-                d, was_clamped = _distance_from_rates(method, marginal[i], marginal[j], h)
-                clamped += was_clamped
-                values[i, j] = values[j, i] = d
-
+        params = {"alphabet_size": series[0].alphabet_size}
     return DistanceMatrix(
-        tickers=tickers,
+        tickers=tuple(s.ticker for s in series),
         method=method,
         values=values,
         params=params,

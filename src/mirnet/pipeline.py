@@ -22,8 +22,9 @@ COMPARISON_FILES = ("centrality_table.csv", "comparison_report.json")
 @dataclass
 class AnalysisConfig:
     """Everything one pipeline run depends on; round-trips through JSON. An
-    unknown or repeated method or graph kind, or an unknown correlation
-    variant, raises ``ValidationError`` on construction."""
+    unknown or repeated method or graph kind, an unknown correlation variant,
+    or a repeated alphabet size or one below 2, raises ``ValidationError`` on
+    construction."""
 
     input_path: str
     output_dir: str
@@ -50,6 +51,13 @@ class AnalysisConfig:
                     raise ValidationError(
                         f"{name}: {problem} value {value!r}; allowed values: {allowed}"
                     )
+        for i, alpha in enumerate(self.alphabet_sizes):
+            if alpha < 2 or alpha in self.alphabet_sizes[:i]:
+                problem = "repeated" if alpha >= 2 else "unusable"
+                raise ValidationError(
+                    f"alphabet_sizes: {problem} value {alpha!r}; "
+                    "sizes must be distinct and at least 2"
+                )
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2) + "\n"

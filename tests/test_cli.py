@@ -5,6 +5,7 @@ same code path as the console script while keeping stdout/stderr capturable.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -193,7 +194,7 @@ def test_entropy_estimator_choice(estimator, price_file, capsys):
 def test_entropy_rejects_unknown_estimator(price_file, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["entropy", "--input", str(price_file), "--estimator", "lempel", "SYN01"])
-    assert exc.value.code == 2
+    assert exc.value.code == cli.EXIT_INPUT
     assert "invalid choice" in capsys.readouterr().err
 
 
@@ -205,15 +206,25 @@ def test_entropy_rejects_unknown_estimator(price_file, capsys):
 def test_entropy_refuses_flags_it_does_not_read(flag, price_file, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["entropy", "--input", str(price_file), *flag, "SYN01"])
-    assert exc.value.code == 2
+    assert exc.value.code == cli.EXIT_INPUT
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag", [["--alphabet-sizes", "4,x"], ["--min-length", "x"], ["--corr-metric", "r"]]
+)
+def test_run_usage_errors_are_input_errors(flag, price_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--input", str(price_file), "--output-dir", str(tmp_path), *flag])
+    assert exc.value.code == cli.EXIT_INPUT
+    assert f"argument {flag[0]}: invalid" in capsys.readouterr().err
 
 
 def test_run_refuses_seed(price_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "--input", str(price_file), "--output-dir", str(tmp_path),
                   "--seed", "1"])
-    assert exc.value.code == 2
+    assert exc.value.code == cli.EXIT_INPUT
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
@@ -230,12 +241,17 @@ def test_entropy_short_series_warns(tmp_path, capsys):
     spec = SynthSpec(mode="iid", n_instruments=3, n_rows=80, seed=2)
     path = tmp_path / "short.csv"
     path.write_text(generate_price_table(spec))
-    code = cli.main(
-        ["entropy", "--input", str(path), "SYN01"]
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["entropy", "--input", str(path), "--alphabet-sizes", "4", "SYN01"])
     assert code == cli.EXIT_OK
-    out = capsys.readouterr().out
-    assert "warning" in out and "79" in out
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert [line for line in lines if "warning" in line.lower()] == [
+        "warning: only 79 data points (below 500); the entropy-rate estimate "
+        "will carry substantial finite-sample bias"
+    ]
+    assert caught == []
 
 
 def test_entropy_constant_series_notes_degeneracy(tmp_path, capsys):
@@ -296,7 +312,7 @@ def test_synth_nonlinear_pairs_are_decorrelated(tmp_path):
 def test_synth_rejects_bad_mode(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["synth", "--mode", "weird", "--out", "x.csv"])
-    assert excinfo.value.code == 2
+    assert excinfo.value.code == cli.EXIT_INPUT
 
 
 # ---------------------------------------------------------------------------

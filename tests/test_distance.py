@@ -267,35 +267,55 @@ class TestBuildMatrix:
         assert m.values[0, 1] > 0.0
 
     def test_mir_rates_use_the_paper_estimator(self, monkeypatch):
-        rng = np.random.default_rng(16)
-        syms = [random_seq(rng, f"T{i}", 4, 600) for i in range(3)]
-        x, y = syms[0], syms[1]
-        hx, hy = (lz.entropy_rate(s, estimator="paper").value for s in (x, y))
-        hxy = lz.joint_entropy_rate(x, y, estimator="paper").value
-        mir = max(0.0, hx + hy - hxy)
-        expected_d = min(1.0, max(0.0, (hxy - mir) / hxy))
-        expected_dp = min(1.0, max(0.0, 1.0 - mir / max(hx, hy)))
-        assert mir_distance(x, y) == expected_d
-        assert mir_prime_distance(x, y) == expected_dp
-        assert build_matrix(syms, "mir").values[0, 1] == expected_d
-        assert build_matrix(syms, "mir_prime").values[0, 1] == expected_dp
-
-        # every pair of the batched matrix, across several match-length calls
-        # (two joint rows per call), equals the per-pair functions bit for bit
+        # every entry, across several match-length calls (two joint rows per
+        # call), equals the paper's formula from lz's own rate functions
         monkeypatch.setattr(distance, "JOINT_SYMBOL_BUDGET", 2 * 600)
-        syms += [random_seq(rng, f"T{i}", 4, 600) for i in range(3, 6)]
+        rng = np.random.default_rng(16)
+        syms = [random_seq(rng, f"T{i}", 4, 600) for i in range(6)]
         syms.append(seq("COPY", syms[0].symbols))
         syms.append(seq("FLAT", np.zeros(600, dtype=int)))
         syms.append(seq("NOISY", np.where(rng.random(600) < 0.3, 0, syms[1].symbols)))
-        pairs = [(i, j) for i in range(len(syms)) for j in range(i + 1, len(syms))]
-        for method, pair_distance in (
-            ("mir", mir_distance),
-            ("mir_prime", mir_prime_distance),
-        ):
+        # periodic sequences rate near 0, but their joint period 23 * 25 is
+        # nearly the length: a negative raw MIR that is clamped
+        syms += [seq(f"P{p}", np.arange(600) % p % 4) for p in (23, 25)]
+        h = [lz.entropy_rate(s, estimator="paper").value for s in syms]
+        n = len(syms)
+        d, dp = np.zeros((n, n)), np.zeros((n, n))
+        clamped = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                hxy = lz.joint_entropy_rate(syms[i], syms[j], estimator="paper").value
+                raw = h[i] + h[j] - hxy
+                mir = max(0.0, raw)
+                d[i, j] = d[j, i] = min(1.0, max(0.0, (hxy - mir) / hxy))
+                dp[i, j] = dp[j, i] = min(1.0, max(0.0, 1.0 - mir / max(h[i], h[j])))
+                clamped += raw < 0.0
+        assert clamped > 0
+        for method, expected in (("mir", d), ("mir_prime", dp)):
             m = build_matrix(syms, method)
-            for i, j in pairs:
-                assert m.values[i, j] == pair_distance(syms[i], syms[j])
-                assert m.values[j, i] == m.values[i, j]
+            assert m.values.tobytes() == expected.tobytes()
+            assert m.clamped_pairs == clamped
+        assert mir_distance(syms[0], syms[1]) == d[0, 1]
+        assert mir_prime_distance(syms[0], syms[1]) == dp[0, 1]
+
+    def test_alignment_checked_before_degeneracy(self):
+        rng = np.random.default_rng(21)
+        flat = seq("FLAT", np.zeros(600, dtype=int))
+        short = seq("SHORT", np.zeros(599, dtype=int))
+        for method in ("mir", "mir_prime"):
+            with pytest.raises(AlignmentError, match=r"pair \(FLAT, SHORT\)"):
+                build_matrix([flat, short, random_seq(rng, "X", 4, 600)], method,
+                             zero_for_degenerate=True)
+        with pytest.raises(AlignmentError, match=r"pair \(FLAT, SHORT\)"):
+            mir_distance(flat, short, zero_for_degenerate=True)
+        with pytest.raises(AlignmentError, match=r"pair \(FLAT, SHORT\)"):
+            mir_prime_distance(flat, short, zero_for_degenerate=True)
+
+    def test_mir_needs_symbol_sequences(self):
+        rng = np.random.default_rng(22)
+        x = random_seq(rng, "x", 4, 600)
+        with pytest.raises(TypeError, match="SymbolSequence"):
+            mir_distance(x, ReturnSeries("r", rng.standard_normal(600)))
 
     def test_scale_invariance_of_mir_distances(self):
         rng = np.random.default_rng(14)

@@ -50,6 +50,10 @@ class TestConfig:
             ("methods", ["correlation", "mri"], "'mri'", "'correlation', 'mir', 'mir_prime'"),
             ("methods", ["mir", "mir"], "'mir'", "'correlation', 'mir', 'mir_prime'"),
             ("corr_variant", "bogus", "'bogus'", "'one_minus_r2', 'sqrt'"),
+            ("alphabet_sizes", [4, 4], "repeated value 4", "at least 2"),
+            ("alphabet_sizes", [10, 4, 10], "repeated value 10", "at least 2"),
+            ("alphabet_sizes", [1], "unusable value 1", "at least 2"),
+            ("alphabet_sizes", [4, 0], "unusable value 0", "at least 2"),
         ],
     )
     def test_bad_choice_rejected(self, field, value, culprit, allowed):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -36,8 +37,31 @@ class PriceSeries:
             raise ValidationError(
                 f"{self.ticker}: non-positive price {prices[bad]} on {self.dates[bad]}"
             )
-        if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
-            raise ValidationError(f"{self.ticker}: dates not strictly increasing")
+        if not isinstance(self.dates, _Calendar):
+            object.__setattr__(
+                self, "dates", _calendar(self.dates, lambda k: self.ticker)
+            )
+
+
+class _Calendar(tuple):
+    """Dates this module has checked to be strictly increasing.
+
+    The series of one price table share one such tuple, so the loader walks
+    the calendar once per table instead of once per series.
+    """
+
+
+def _calendar(dates, culprit) -> _Calendar:
+    """``dates`` as a ``_Calendar``, or a ValidationError naming ``culprit(k)``
+    for the first position k whose date does not follow the one before it."""
+    dates = tuple(dates)
+    if not all(map(operator.lt, dates, dates[1:])):
+        k = next(k for k in range(1, len(dates)) if dates[k - 1] >= dates[k])
+        raise ValidationError(
+            f"{culprit(k)}: dates not strictly increasing "
+            f"({dates[k - 1]!r} then {dates[k]!r})"
+        )
+    return _Calendar(dates)
 
 
 @dataclass(frozen=True)
@@ -89,17 +113,20 @@ def load_price_table(
 
     The file must have a header row naming the date column plus one column
     per ticker. Rows where any price is missing are dropped from all series,
-    so every returned series shares an identical trading calendar.
+    so every returned series shares an identical trading calendar; one
+    ``UserWarning`` gives their count and the first one's ``path:line``. The
+    prices of the kept rows are parsed in one pass of numpy's C parser
+    (``np.loadtxt``), and the calendar's order is checked once per table.
     """
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
-            rows = list(reader)
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    if not text:
         raise FormatError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
+    lines = text.split("\n")  # open() has already turned \r\n and \r into \n
+    header = [c.strip() for c in _cells(lines[0], delimiter)]
     repeated = sorted({c for c in header if header.count(c) > 1})
     if repeated:
         raise FormatError(f"{path}: repeated column names {repeated}")
@@ -108,51 +135,124 @@ def load_price_table(
             f"{path}: header has no '{date_column}' column (columns: {header})"
         )
     date_idx = header.index(date_column)
-    tickers = [c for i, c in enumerate(header) if i != date_idx]
+    price_cols = [i for i in range(len(header)) if i != date_idx]
+    tickers = [header[i] for i in price_cols]
     if not tickers:
         raise FormatError(f"{path}: no ticker columns besides '{date_column}'")
 
+    kept: list[str] = []
+    linenos: list[int] = []
     dates: list[str] = []
-    columns: dict[str, list[float]] = {t: [] for t in tickers}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise FormatError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+    dropped: list[int] = []
+    width_error = None
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = _cells(line, delimiter)
+        if not all(map(str.strip, cells)):
+            if not any(map(str.strip, cells)):
+                continue  # blank line
+            if len(cells) == len(header) and not all(
+                cells[i].strip() for i in price_cols
+            ):
+                dropped.append(lineno)
+                continue  # missing price: drop the row from the common calendar
+        if len(cells) != len(header):
+            width_error = FormatError(
+                f"{path}:{lineno}: expected {len(header)} fields, got {len(cells)}"
             )
-        cells = [c.strip() for c in row]
-        if any(i != date_idx and not c for i, c in enumerate(cells)):
-            continue  # missing price: drop the row from the common calendar
-        date = cells[date_idx]
-        values = {}
-        for i, cell in enumerate(cells):
-            if i == date_idx:
-                continue
-            try:
-                value = float(cell)
-            except ValueError as exc:
-                raise FormatError(
-                    f"{path}:{lineno}: unparseable price {cell!r} for {header[i]}"
-                ) from exc
-            if not math.isfinite(value) or value <= 0:
-                raise ValidationError(
-                    f"non-positive price {cell} for ticker {header[i]} on {date}"
-                )
-            values[header[i]] = value
-        dates.append(date)
-        for t in tickers:
-            columns[t].append(values[t])
+            break
+        kept.append(line)
+        linenos.append(lineno)
+        dates.append(cells[date_idx].strip())
 
+    # parsed before the short row's error is raised: a bad price above that
+    # row comes first in reading order
+    prices = _price_table(path, kept, linenos, dates, tickers, price_cols, delimiter)
+    if width_error is not None:
+        raise width_error
+    if dropped:
+        warnings.warn(
+            f"dropped {len(dropped)} row(s) with a missing price, the first at "
+            f"{path}:{dropped[0]}",
+            stacklevel=2,
+        )
     if len(dates) < 2:
         raise InsufficientDataError(
             f"{path}: only {len(dates)} usable rows after alignment (need >= 2)"
         )
-    calendar = tuple(dates)
+    calendar = _calendar(dates, lambda k: f"{path}:{linenos[k]}")
+    columns = np.ascontiguousarray(prices.T)
     return [
-        PriceSeries(ticker=t, dates=calendar, prices=np.asarray(columns[t]))
-        for t in tickers
+        PriceSeries(ticker=t, dates=calendar, prices=columns[j])
+        for j, t in enumerate(tickers)
     ]
+
+
+def _cells(line: str, delimiter: str) -> list[str]:
+    """The fields of one line, unquoted as ``csv`` does when it holds a quote."""
+    if '"' in line:
+        return next(csv.reader([line], delimiter=delimiter), [])
+    return line.split(delimiter)
+
+
+def _loadtxt(lines: list[str], columns: list[int], delimiter: str) -> np.ndarray:
+    """numpy's C parser over ``columns`` of ``lines``: one row per line."""
+    return np.loadtxt(
+        lines,
+        dtype=float,
+        delimiter=delimiter,
+        usecols=columns,
+        comments=None,
+        quotechar='"',
+        ndmin=2,
+    )
+
+
+def _price_table(path, kept, linenos, dates, tickers, price_cols, delimiter):
+    """The price cells of the kept lines as a (rows, tickers) array.
+
+    A cell numpy cannot parse raises FormatError, a value that is not a
+    finite positive number (``loadtxt`` reads ``nan`` and ``inf``) raises
+    ValidationError; either names the first offending cell in reading order.
+    """
+    if not kept:
+        return np.empty((0, len(price_cols)))
+
+    def check(values, row, col=0):
+        # values: a block of the table whose first cell is (row, col)
+        bad = ~(np.isfinite(values) & (values > 0))
+        if bad.any():
+            r, j = divmod(int(bad.argmax()), bad.shape[1])
+            r, j = r + row, j + col
+            cell = _cells(kept[r], delimiter)[price_cols[j]].strip()
+            raise ValidationError(
+                f"{path}:{linenos[r]}: non-positive price {cell} for ticker "
+                f"{tickers[j]} on {dates[r]}"
+            )
+
+    try:
+        table = _loadtxt(kept, price_cols, delimiter)
+    except ValueError:
+        # Go row by row, then cell by cell in the failing row, so that the
+        # error names the first bad cell in reading order.
+        for r, line in enumerate(kept):
+            try:
+                row = _loadtxt([line], price_cols, delimiter)
+            except ValueError:
+                cells = _cells(line, delimiter)
+                for j, i in enumerate(price_cols):
+                    try:
+                        value = _loadtxt([line], [i], delimiter)
+                    except ValueError as exc:
+                        raise FormatError(
+                            f"{path}:{linenos[r]}: unparseable price "
+                            f"{cells[i].strip()!r} for {tickers[j]}"
+                        ) from exc
+                    check(value, r, j)
+                raise
+            check(row, r)
+        raise
+    check(table, 0)
+    return table
 
 
 def log_returns(series: PriceSeries) -> ReturnSeries:

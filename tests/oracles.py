@@ -2,16 +2,94 @@
 
 Everything here is deliberately naive (quadratic scans, exhaustive
 enumeration, simulation) or is the library-based code that a faster
-implementation replaced. None of it shares code with the package.
+implementation replaced. None of it shares code with the package beyond its
+data and error classes.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
+import math
 
 import networkx as nx
 import numpy as np
 import scipy.linalg
+
+from mirnet.errors import FormatError, InsufficientDataError, ValidationError
+from mirnet.ingest import PriceSeries
+
+
+def oracle_load_price_table(path, *, delimiter=",", date_column="date"):
+    """The row loop ``load_price_table`` replaced: ``csv.reader`` and ``float``.
+
+    Rows with a blank price are dropped silently; the calendar order is
+    checked here, before any ``PriceSeries`` is built, with the message the
+    first series used to raise.
+    """
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh, delimiter=delimiter))
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise FormatError(f"{path}: empty file")
+    header = [c.strip() for c in rows[0]]
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise FormatError(f"{path}: repeated column names {repeated}")
+    if date_column not in header:
+        raise FormatError(
+            f"{path}: header has no '{date_column}' column (columns: {header})"
+        )
+    date_idx = header.index(date_column)
+    tickers = [c for i, c in enumerate(header) if i != date_idx]
+    if not tickers:
+        raise FormatError(f"{path}: no ticker columns besides '{date_column}'")
+
+    dates: list[str] = []
+    columns: dict[str, list[float]] = {t: [] for t in tickers}
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise FormatError(
+                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        cells = [c.strip() for c in row]
+        if any(i != date_idx and not c for i, c in enumerate(cells)):
+            continue
+        date = cells[date_idx]
+        values = {}
+        for i, cell in enumerate(cells):
+            if i == date_idx:
+                continue
+            try:
+                value = float(cell)
+            except ValueError as exc:
+                raise FormatError(
+                    f"{path}:{lineno}: unparseable price {cell!r} for {header[i]}"
+                ) from exc
+            if not math.isfinite(value) or value <= 0:
+                raise ValidationError(
+                    f"non-positive price {cell} for ticker {header[i]} on {date}"
+                )
+            values[header[i]] = value
+        dates.append(date)
+        for t in tickers:
+            columns[t].append(values[t])
+
+    if len(dates) < 2:
+        raise InsufficientDataError(
+            f"{path}: only {len(dates)} usable rows after alignment (need >= 2)"
+        )
+    if any(a >= b for a, b in zip(dates, dates[1:])):
+        raise ValidationError(f"{tickers[0]}: dates not strictly increasing")
+    calendar = tuple(dates)
+    return [
+        PriceSeries(ticker=t, dates=calendar, prices=np.asarray(columns[t]))
+        for t in tickers
+    ]
 
 
 def brute_match_lengths(seq) -> list[int]:

@@ -1,9 +1,16 @@
+import importlib.util
 import math
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mirnet.errors import FormatError, InsufficientDataError, ValidationError
+from mirnet import ingest
+from mirnet.errors import FormatError, InsufficientDataError, MirnetError, ValidationError
 from mirnet.ingest import (
     PriceSeries,
     ReturnSeries,
@@ -11,6 +18,10 @@ from mirnet.ingest import (
     load_price_table,
     log_returns,
 )
+from mirnet.synth import SynthSpec, generate_price_table
+from oracles import oracle_load_price_table
+
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def write(tmp_path, text, name="prices.csv"):
@@ -19,13 +30,34 @@ def write(tmp_path, text, name="prices.csv"):
     return path
 
 
+def contents(series):
+    """Each series' ticker, dates and price bytes."""
+    return [(s.ticker, tuple(s.dates), s.prices.tobytes()) for s in series]
+
+
+def outcome(loader, path, **kwargs):
+    """``contents`` of what a loader makes of ``path``, or the class of the
+    package error it raised."""
+    try:
+        return contents(loader(path, **kwargs))
+    except MirnetError as exc:
+        return type(exc)
+
+
+def load(path, **kwargs):
+    """``load_price_table``, checked to agree with the row-loop oracle."""
+    series = load_price_table(path, **kwargs)
+    assert contents(series) == outcome(oracle_load_price_table, path, **kwargs)
+    return series
+
+
 class TestLoadPriceTable:
     def test_direct_load(self, tmp_path):
         path = write(
             tmp_path,
             "date,A,B\n2020-01-01,1.0,2.0\n2020-01-02,1.1,2.1\n2020-01-03,1.2,2.2\n",
         )
-        series = load_price_table(path)
+        series = load(path)
         assert [s.ticker for s in series] == ["A", "B"]
         assert all(len(s.prices) == 3 for s in series)
 
@@ -34,7 +66,8 @@ class TestLoadPriceTable:
             tmp_path,
             "date,A,B\n2020-01-01,1.0,2.0\n2020-01-02,1.1,\n2020-01-03,1.2,2.2\n",
         )
-        series = load_price_table(path)
+        with pytest.warns(UserWarning, match=r"dropped 1 row.*prices\.csv:3"):
+            series = load(path)
         assert all(len(s.prices) == 2 for s in series)
         assert series[0].dates == series[1].dates == ("2020-01-01", "2020-01-03")
 
@@ -71,7 +104,7 @@ class TestLoadPriceTable:
 
     def test_tab_delimiter(self, tmp_path):
         path = write(tmp_path, "date\tA\n2020-01-01\t1.0\n2020-01-02\t1.1\n")
-        series = load_price_table(path, delimiter="\t")
+        series = load(path, delimiter="\t")
         assert series[0].prices.tolist() == [1.0, 1.1]
 
     def test_alignment_invariant(self, tmp_path):
@@ -80,9 +113,184 @@ class TestLoadPriceTable:
             "date,A,B,C\n"
             "2020-01-01,1,2,3\n2020-01-02,1,,3\n2020-01-03,1,2,\n2020-01-04,1,2,3\n",
         )
-        series = load_price_table(path)
+        with pytest.warns(UserWarning, match=r"dropped 2 row.*prices\.csv:3"):
+            series = load(path)
         dates = {s.dates for s in series}
         assert len(dates) == 1
+
+    def test_gap_free_table_does_not_warn(self, tmp_path):
+        path = write(tmp_path, "date,A,B\n2020-01-01,1,2\n\n2020-01-02,1.1,2.1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = load(path)
+        assert series[0].dates == ("2020-01-01", "2020-01-02")
+
+    def test_whitespace_only_price_drops_row(self, tmp_path):
+        path = write(
+            tmp_path,
+            "date,A,B\n2020-01-01,1,2\n2020-01-02,1.1, \t \n2020-01-03,1.2,2.2\n",
+        )
+        with pytest.warns(UserWarning, match=r"dropped 1 row.*prices\.csv:3"):
+            series = load(path)
+        assert series[1].dates == ("2020-01-01", "2020-01-03")
+        assert series[1].prices.tolist() == [2.0, 2.2]
+
+    @pytest.mark.parametrize("cell", ["oops", "1#5"])
+    def test_unparseable_price_names_line_and_ticker(self, tmp_path, cell):
+        path = write(tmp_path, f"date,A,B\n2020-01-01,1,2\n2020-01-02,1.1,{cell}\n")
+        with pytest.raises(FormatError, match=rf"prices\.csv:3: .*'{cell}' for B$"):
+            load_price_table(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "0"])
+    def test_non_finite_or_zero_price_names_ticker_and_date(self, tmp_path, cell):
+        path = write(
+            tmp_path,
+            f"date,A,B\n2020-01-01,1,2\n2020-01-02,1.1,{cell}\n2020-01-03,1,2\n",
+        )
+        with pytest.raises(
+            ValidationError, match=rf"prices\.csv:3: .*price {cell} for ticker B on 2020-01-02"
+        ):
+            load_price_table(path)
+
+    def test_short_row_names_line(self, tmp_path):
+        path = write(tmp_path, "date,A,B\n2020-01-01,1,2\n2020-01-02,1.1\n")
+        with pytest.raises(FormatError, match=r"prices\.csv:3: expected 3 fields, got 2"):
+            load_price_table(path)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "2020-01-02,1,-1,3\n2020-01-03,1\n",  # a short row below
+            "2020-01-02,1,-1,3\n2020-01-03,oops,2,3\n",  # an unparseable row below
+            "2020-01-02,1,-1,oops\n",  # an unparseable cell to the right
+        ],
+    )
+    def test_bad_price_is_reported_before_a_later_bad_cell(self, tmp_path, body):
+        path = write(tmp_path, "date,A,B,C\n2020-01-01,1,2,3\n" + body)
+        with pytest.raises(
+            ValidationError, match=r"prices\.csv:3: .*price -1 for ticker B on 2020-01-02"
+        ):
+            load_price_table(path)
+
+    def test_unordered_dates_name_the_row(self, tmp_path):
+        path = write(
+            tmp_path,
+            "date,A,B\n2020-01-01,1,2\n2020-01-03,1,2\n\n2020-01-02,1,2\n",
+        )
+        with pytest.raises(
+            ValidationError, match=r"prices\.csv:5: .*'2020-01-03' then '2020-01-02'"
+        ):
+            load_price_table(path)
+
+    def test_calendar_checked_once_per_table(self, tmp_path, monkeypatch):
+        walks = []
+        check = ingest._calendar
+
+        def counted(dates, culprit):
+            walks.append(dates)
+            return check(dates, culprit)
+
+        monkeypatch.setattr(ingest, "_calendar", counted)
+        path = write(tmp_path, "date,A,B,C\n2020-01-01,1,2,3\n2020-01-02,1,2,3\n")
+        series = load_price_table(path)
+        assert len(walks) == 1
+        assert series[0].dates is series[2].dates
+
+    def test_quoted_and_padded_cells(self, tmp_path):
+        path = write(
+            tmp_path,
+            'date,A,B\r\n"2020-01-01", 1.5 ,"2"\r\n"2020-01-02","1.25" ,\t3\r\n',
+        )
+        series = load(path)
+        assert series[0].prices.tolist() == [1.5, 1.25]
+        assert series[1].dates == ("2020-01-01", "2020-01-02")
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    """``bench/workloads.py``, read as it is (dataclasses need it registered)."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["mir_panel", "pmfg_wide", "corr_wide"])
+def test_bench_tables_identical_to_oracle(tmp_path, bench_workloads, name):
+    # the benchmark's first table of seed 1 (synth seed 1000), at its smoke size
+    spec = bench_workloads.smoke(name).synth_specs(1)[0]
+    assert spec["seed"] == 1000
+    path = write(tmp_path, generate_price_table(SynthSpec(**spec)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        load(path)
+
+
+@st.composite
+def price_tables(draw):
+    """A small table with the layouts a price file can have, its delimiter,
+    and the number of rows the loader should drop with the first one's line."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    pads = ["", " ", "  "] if delimiter == "\t" else ["", " ", "\t "]
+    pad = st.sampled_from(pads)
+    tickers = ["A", "B", "C"][: draw(st.integers(1, 3))]
+    header = list(tickers)
+    date_idx = draw(st.integers(0, len(tickers)))
+    header.insert(date_idx, "date")
+    days = draw(st.lists(st.integers(1, 28), max_size=7, unique=True))
+    if draw(st.integers(0, 4)):
+        days.sort()
+    number = st.floats(1e-3, 1e6).map(repr) | st.floats(1e-3, 1e6).map("{:.8f}".format)
+    special = st.sampled_from(["", " ", "nan", "inf", "0", "-1.5", "oops", "1#5"])
+
+    def cell(text):
+        # quoted as csv quotes a field, or padded
+        if text.strip() and draw(st.booleans()):
+            return f'"{text}"'
+        return draw(pad) + text + draw(pad)
+
+    lines = [delimiter.join(header)]
+    dropped = []
+    for day in days:
+        prices = [draw(special if draw(st.integers(0, 9)) == 0 else number) for _ in tickers]
+        cells = [cell(p) for p in prices]
+        cells.insert(date_idx, cell(f"2020-01-{day:02d}"))
+        if draw(st.integers(0, 19)) == 0:
+            cells.pop()  # a short row
+        elif any(not p.strip() for p in prices):
+            dropped.append(len(lines) + 1)
+        lines.append(delimiter.join(cells))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", delimiter * len(tickers)])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return text, delimiter, dropped
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("table") / "prices.csv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=price_tables())
+def test_loader_matches_row_loop_oracle(table_path, table):
+    text, delimiter, dropped = table
+    table_path.write_bytes(text.encode())
+    expected = outcome(oracle_load_price_table, table_path, delimiter=delimiter)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = outcome(load_price_table, table_path, delimiter=delimiter)
+    assert got == expected
+    if isinstance(got, list):
+        drops = [str(w.message) for w in caught if "missing price" in str(w.message)]
+        expected_drops = [
+            f"dropped {len(dropped)} row(s) with a missing price, "
+            f"the first at {table_path}:{line}"
+            for line in dropped[:1]
+        ]
+        assert drops == expected_drops
 
 
 class TestPriceSeriesInvariants:

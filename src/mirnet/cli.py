@@ -83,16 +83,15 @@ def _given(args, cls) -> dict:
 
 
 def _config_from_args(args) -> AnalysisConfig:
-    values: dict = {}
-    if args.config:
-        values = json.loads(Path(args.config).read_text())
-    unknown = set(values) - {f.name for f in fields(AnalysisConfig)}
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    values.update(_given(args, AnalysisConfig))
-    if "input_path" not in values or "output_dir" not in values:
-        raise ValueError("both --input and --output-dir (or config equivalents) are required")
-    return AnalysisConfig(**values)
+    """The config file's fields with the flags given laid over them."""
+    values = json.loads(Path(args.config).read_text()) if args.config else {}
+    if isinstance(values, dict):  # from_json refuses any other document
+        values.update(_given(args, AnalysisConfig))
+        if "input_path" not in values or "output_dir" not in values:
+            raise ValueError(
+                "both --input and --output-dir (or config equivalents) are required"
+            )
+    return AnalysisConfig.from_json(json.dumps(values))
 
 
 def _cmd_run(args) -> int:
@@ -102,7 +101,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    if args.input_path is None:
+    if not args.input_path:
         raise ValueError("--input is required")
     series = load_price_table(
         args.input_path, delimiter=args.delimiter, date_column=args.date_column
@@ -177,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ent = sub.add_parser("entropy", help="entropy-rate diagnostics for one ticker")
     _add_input_flags(p_ent)
     # the shared flags default to the fields of a default run config
-    p_ent.set_defaults(handler=_cmd_entropy, **asdict(AnalysisConfig(None, None)))
+    p_ent.set_defaults(handler=_cmd_entropy, **asdict(AnalysisConfig("", "")))
     p_ent.add_argument("ticker", help="instrument to diagnose")
     p_ent.add_argument(
         "--estimator",

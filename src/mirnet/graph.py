@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import io
 import json
+import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from .distance import DistanceMatrix
@@ -29,13 +28,6 @@ class FilteredGraph:
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-    def to_networkx(self) -> nx.Graph:
-        g = nx.Graph(kind=self.kind, source_method=self.source_method)
-        g.add_nodes_from(self.nodes)
-        for rank, (u, v, w) in enumerate(self.edges):
-            g.add_edge(u, v, weight=w, insertion_rank=rank)
-        return g
 
     def degrees(self) -> dict[str, int]:
         deg = {t: 0 for t in self.nodes}
@@ -335,10 +327,52 @@ def build_pmfg(matrix: DistanceMatrix) -> FilteredGraph:
     )
 
 
+# (id, for, attr.name, attr.type) of each GraphML key, in document order
+_GRAPHML_KEYS = (
+    ("d3", "edge", "insertion_rank", "long"),
+    ("d2", "edge", "weight", "double"),
+    ("d1", "graph", "source_method", "string"),
+    ("d0", "graph", "kind", "string"),
+)
+
+
 def to_graphml(graph: FilteredGraph) -> str:
-    buf = io.BytesIO()
-    nx.write_graphml(graph.to_networkx(), buf)
-    return buf.getvalue().decode()
+    """The graph as GraphML: for a graph that ``build_mst`` or ``build_pmfg``
+    returns, the bytes networkx's ``write_graphml`` gives for an undirected
+    ``networkx.Graph`` of the same nodes, edges and attributes.
+
+    That means networkx's key ids and order, nodes in order, and edges in
+    networkx's adjacency order: each edge under its endpoint that comes first
+    in ``nodes``, and those of one endpoint by insertion rank. Numbers are
+    written with ``str``, and ElementTree escapes and indents by two spaces.
+    """
+    root = ET.Element("graphml", {
+        "xmlns": "http://graphml.graphdrawing.org/xmlns",
+        "xmlns:xsi": "http://www.w3.org/2001/XMLSchema-instance",
+        "xsi:schemaLocation": "http://graphml.graphdrawing.org/xmlns "
+        "http://graphml.graphdrawing.org/xmlns/1.0/graphml.xsd",
+    })
+    for key_id, scope, name, attr_type in _GRAPHML_KEYS:
+        ET.SubElement(root, "key", {
+            "id": key_id, "for": scope, "attr.name": name, "attr.type": attr_type
+        })
+    body = ET.SubElement(root, "graph", edgedefault="undirected")
+    for node in graph.nodes:
+        ET.SubElement(body, "node", id=node)
+    pos = {node: k for k, node in enumerate(graph.nodes)}
+    oriented = sorted(
+        (pos[u], rank, u, v, w) if pos[u] < pos[v] else (pos[v], rank, v, u, w)
+        for rank, (u, v, w) in enumerate(graph.edges)
+    )
+    for _, rank, source, target, w in oriented:
+        edge = ET.SubElement(body, "edge", source=source, target=target)
+        ET.SubElement(edge, "data", key="d2").text = str(w)
+        ET.SubElement(edge, "data", key="d3").text = str(rank)
+    ET.SubElement(body, "data", key="d0").text = graph.kind
+    ET.SubElement(body, "data", key="d1").text = graph.source_method
+    ET.indent(root)
+    # encoding="unicode" would declare the locale's encoding instead
+    return ET.tostring(root, encoding="utf-8", xml_declaration=True).decode() + "\n"
 
 
 def to_dot(graph: FilteredGraph) -> str:

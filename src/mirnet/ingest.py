@@ -112,11 +112,13 @@ def load_price_table(
     """Load a delimited price table into one aligned PriceSeries per ticker.
 
     The file must have a header row naming the date column plus one column
-    per ticker. Rows where any price is missing are dropped from all series,
-    so every returned series shares an identical trading calendar; one
-    ``UserWarning`` gives their count and the first one's ``path:line``. The
-    prices of the kept rows are parsed in one pass of numpy's C parser
-    (``np.loadtxt``), and the calendar's order is checked once per table.
+    per ticker; a ticker may not be empty or hold ``,`` or ``"``, since the
+    outputs are comma-delimited whatever the input's delimiter. Rows where
+    any price is missing are dropped from all series, so every returned
+    series shares an identical trading calendar; one ``UserWarning`` gives
+    their count and the first one's ``path:line``. The prices of the kept
+    rows are parsed in one pass of numpy's C parser (``np.loadtxt``), and
+    the calendar's order is checked once per table.
     """
     try:
         with open(path) as fh:
@@ -139,6 +141,13 @@ def load_price_table(
     tickers = [header[i] for i in price_cols]
     if not tickers:
         raise FormatError(f"{path}: no ticker columns besides '{date_column}'")
+    for i in price_cols:
+        if not header[i] or "," in header[i] or '"' in header[i]:
+            raise FormatError(
+                f"{path}: column {i + 1}: ticker {header[i]!r} is empty or holds "
+                "a comma or a double quote, which the comma-delimited outputs "
+                "cannot carry"
+            )
 
     kept: list[str] = []
     linenos: list[int] = []

@@ -6,7 +6,7 @@ import json
 import shutil
 import tempfile
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import centrality as centrality_mod
@@ -21,10 +21,13 @@ COMPARISON_FILES = ("centrality_table.csv", "comparison_report.json")
 
 @dataclass
 class AnalysisConfig:
-    """Everything one pipeline run depends on; round-trips through JSON. An
-    unknown or repeated method or graph kind, an unknown correlation variant,
-    or a repeated alphabet size or one below 2, raises ``ValidationError`` on
-    construction."""
+    """Everything one pipeline run depends on; round-trips through JSON.
+
+    Construction raises ``ValidationError``, naming the field, for a value of
+    the wrong type (an int is not a bool, a bare string is not a list; a
+    tuple is read as a list), an unknown or repeated method or graph kind, an
+    unknown correlation variant, or a repeated alphabet size or one below 2.
+    """
 
     input_path: str
     output_dir: str
@@ -40,6 +43,13 @@ class AnalysisConfig:
     zero_for_degenerate: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            outer, _, item = f.type.rstrip("]").partition("[")
+            if not _is_a(value, outer) or (item and not all(_is_a(v, item) for v in value)):
+                raise ValidationError(f"{f.name}: expected {f.type}, got {value!r}")
+            if item:
+                setattr(self, f.name, list(value))
         for name, values, allowed in (
             ("methods", self.methods, distance_mod.METHODS),
             ("graph_kinds", self.graph_kinds, graph_mod.GRAPH_KINDS),
@@ -64,7 +74,15 @@ class AnalysisConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisConfig":
-        return cls(**json.loads(text))
+        """The config a JSON object describes; an unknown field, or a document
+        that is not an object, raises ``ValidationError``."""
+        values = json.loads(text)
+        if not isinstance(values, dict):
+            raise ValidationError(f"config: expected a JSON object, got {values!r}")
+        unknown = sorted(set(values) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValidationError(f"unknown config fields: {unknown}")
+        return cls(**values)
 
     def combinations(self) -> list[dict]:
         """One entry per (method, alpha); correlation has no alpha."""
@@ -73,6 +91,17 @@ class AnalysisConfig:
             for method in self.methods
             for alpha in ([None] if method == "correlation" else self.alphabet_sizes)
         ]
+
+
+# the annotations of AnalysisConfig's fields; a list field may be a tuple
+_TYPES = {"str": str, "int": int, "bool": bool, "list": (list, tuple)}
+
+
+def _is_a(value, type_name: str) -> bool:
+    """Whether ``value`` has the annotated type; a bool is no int."""
+    return isinstance(value, _TYPES[type_name]) and (
+        type_name == "bool" or not isinstance(value, bool)
+    )
 
 
 def _combo_name(combo: dict) -> str:

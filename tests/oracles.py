@@ -9,6 +9,7 @@ data and error classes.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 
@@ -140,6 +141,28 @@ def networkx_pmfg_edges(tickers, values) -> list[tuple[str, str, float]]:
         if len(accepted) == target:
             break
     return accepted
+
+
+def to_networkx(graph) -> nx.Graph:
+    """A ``FilteredGraph`` as an ``nx.Graph``: graph attributes ``kind`` and
+    ``source_method``, the nodes in order, and the edges in insertion order,
+    each with its ``weight`` and ``insertion_rank``."""
+    g = nx.Graph(kind=graph.kind, source_method=graph.source_method)
+    g.add_nodes_from(graph.nodes)
+    for rank, (u, v, w) in enumerate(graph.edges):
+        g.add_edge(u, v, weight=w, insertion_rank=rank)
+    return g
+
+
+def networkx_graphml(graph) -> bytes:
+    """What networkx's ElementTree GraphML writer makes of ``to_networkx``.
+
+    ``nx.write_graphml`` is this writer unless lxml is installed, when it
+    switches to an lxml writer whose whitespace differs.
+    """
+    buf = io.BytesIO()
+    nx.write_graphml_xml(to_networkx(graph), buf)
+    return buf.getvalue()
 
 
 def min_spanning_tree_weight(weights: np.ndarray) -> float:

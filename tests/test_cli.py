@@ -126,6 +126,27 @@ def test_run_rejects_unknown_config_field(price_file, tmp_path, capsys):
     assert "colour" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("alphabet_sizes", ["4"]),
+        ("alphabet_sizes", [4.5]),
+        ("min_length", "x"),
+        ("weighted_walk", "no"),
+        ("graph_kinds", "mst"),
+    ],
+)
+def test_run_rejects_config_field_of_wrong_type(field, value, price_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"input_path": str(price_file),
+                                    "output_dir": str(out), field: value}))
+    code = cli.main(["run", "--config", str(cfg_path)])
+    assert code == cli.EXIT_INPUT
+    assert f"error: {field}: expected " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_rejects_unknown_graph_kind(price_file, tmp_path, capsys):
     out = tmp_path / "out"
     code = cli.main(["run", "--input", str(price_file), "--output-dir", str(out),

@@ -21,8 +21,10 @@ from mirnet.graph import (
 from oracles import (
     is_planar_slow,
     min_spanning_tree_weight,
+    networkx_graphml,
     networkx_pmfg_edges,
     sorted_pair_edges,
+    to_networkx,
 )
 
 
@@ -44,6 +46,26 @@ def tied_matrices(draw, min_n=2, max_n=16, unique=False):
     values = np.zeros((n, n))
     values[np.triu_indices(n, 1)] = upper
     return matrix_from(tickers, values + values.T)
+
+
+@st.composite
+def exported_graphs(draw):
+    """MSTs and PMFGs on 3 to 14 nodes whose tickers hold XML-special,
+    non-ASCII, padding and control characters, in an order that is neither
+    sorted nor the order of the distances."""
+    n = draw(st.integers(3, 14))
+    pool = ["A&B", "<T>", 'q"q', "it's", "]]>", "\u00e9t\u00e9", "\u03a9\u4e2d",
+            " pad ", "a\tb", "x\ny", "T\r"] + [f"T{k}" for k in range(n)]
+    tickers = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n, unique=True))
+    distance = st.floats(0, 1) | st.sampled_from([0.1, 0.5, 1e-300, 1 / 3])
+    upper = draw(
+        st.lists(distance, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+    )
+    values = np.zeros((n, n))
+    values[np.triu_indices(n, 1)] = upper
+    method = draw(st.sampled_from(["correlation", "mir"]))
+    build = draw(st.sampled_from([build_mst, build_pmfg]))
+    return build(matrix_from(tickers, values + values.T, method=method))
 
 
 @st.composite
@@ -127,7 +149,7 @@ class TestBuildMst:
     def test_tree_invariants(self):
         rng = np.random.default_rng(2)
         for n in (5, 9, 20):
-            g = build_mst(random_matrix(rng, n)).to_networkx()
+            g = to_networkx(build_mst(random_matrix(rng, n)))
             assert g.number_of_edges() == n - 1
             assert nx.is_connected(g)
             assert nx.is_forest(g)
@@ -234,12 +256,12 @@ class TestBuildPmfg:
     def test_planar_and_connected(self):
         rng = np.random.default_rng(11)
         for n in (5, 12):
-            g = build_pmfg(random_matrix(rng, n)).to_networkx()
+            g = to_networkx(build_pmfg(random_matrix(rng, n)))
             assert nx.check_planarity(g)[0]
             assert nx.is_connected(g)
 
     def test_every_node_in_a_triangle(self):
-        g = build_pmfg(random_matrix(np.random.default_rng(12), 10)).to_networkx()
+        g = to_networkx(build_pmfg(random_matrix(np.random.default_rng(12), 10)))
         in_triangle = set()
         for clique in nx.enumerate_all_cliques(g):
             if len(clique) == 3:
@@ -247,7 +269,7 @@ class TestBuildPmfg:
         assert in_triangle == set(g.nodes)
 
     def test_no_five_clique(self):
-        g = build_pmfg(random_matrix(np.random.default_rng(13), 12)).to_networkx()
+        g = to_networkx(build_pmfg(random_matrix(np.random.default_rng(13), 12)))
         assert all(len(c) <= 4 for c in nx.find_cliques(g))
 
     def test_deterministic(self):
@@ -284,8 +306,17 @@ class TestExports:
     def test_graphml_parses_back(self):
         g = self.make_graph()
         parsed = nx.parse_graphml(to_graphml(g))
-        assert set(parsed.nodes) == set(g.nodes)
-        assert parsed.number_of_edges() == len(g.edges)
+        assert list(parsed.nodes) == list(g.nodes)
+        assert (parsed.graph["kind"], parsed.graph["source_method"]) == ("mst", "correlation")
+        ranked = sorted(parsed.edges(data=True), key=lambda e: e[2]["insertion_rank"])
+        assert [
+            (frozenset((u, v)), d["weight"]) for u, v, d in ranked
+        ] == [(frozenset((u, v)), w) for u, v, w in g.edges]
+
+    @settings(max_examples=150, deadline=None)
+    @given(exported_graphs())
+    def test_graphml_bytes_equal_networkx(self, g):
+        assert to_graphml(g).encode() == networkx_graphml(g)
 
     def test_dot_lists_all_edges(self):
         g = self.make_graph()

@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import math
 import sys
@@ -101,6 +102,29 @@ class TestLoadPriceTable:
         with pytest.raises(FormatError, match=r"prices\.csv: .*'A'") as exc:
             load_price_table(path)
         assert "'B'" not in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "header, delimiter, column, ticker",
+        [
+            ("date,,C,D", ",", 2, "''"),
+            ('date,"A,B",C,D', ",", 2, "'A,B'"),
+            ('date,C,"say ""hi""",D', ",", 3, "'say \"hi\"'"),
+            ("date\tC\tA,B", "\t", 3, "'A,B'"),
+        ],
+    )
+    def test_unusable_ticker_names_path_and_column(
+        self, tmp_path, header, delimiter, column, ticker
+    ):
+        # the outputs are comma-delimited whatever the input delimiter, so a
+        # ticker holding ',' or '"' would write a matrix that cannot be read
+        width = len(next(csv.reader([header], delimiter=delimiter))) - 1
+        body = [delimiter.join(["2020-01-0%d" % d] + ["1"] * width) for d in (1, 2)]
+        path = write(tmp_path, "\n".join([header, *body]) + "\n")
+        with pytest.raises(FormatError) as exc:
+            load_price_table(path, delimiter=delimiter)
+        message = str(exc.value)
+        assert message.startswith(f"{path}: column {column}: ")
+        assert f"ticker {ticker}" in message
 
     def test_tab_delimiter(self, tmp_path):
         path = write(tmp_path, "date\tA\n2020-01-01\t1.0\n2020-01-02\t1.1\n")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -6,6 +9,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
+import mirnet
 from mirnet.errors import ValidationError
 from mirnet.pipeline import AnalysisConfig, run_pipeline
 from mirnet.synth import SynthSpec, generate_price_table
@@ -29,6 +33,42 @@ def small_config(price_file, out_dir, **overrides) -> AnalysisConfig:
     )
     values.update(overrides)
     return AnalysisConfig(**values)
+
+
+def run_python(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports this checkout's mirnet."""
+    src = str(Path(mirnet.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+class TestRuntimeDependencies:
+    def test_import_leaves_out_networkx(self, tmp_path):
+        result = run_python("import sys, mirnet; print('networkx' in sys.modules)", tmp_path)
+        assert result.stdout.strip() == "False", result.stderr
+
+    def test_pipeline_and_export_run_without_networkx(self, price_file, tmp_path):
+        # a None entry in sys.modules makes every import of networkx fail
+        code = f"""if True:
+            import sys
+            sys.modules["networkx"] = None
+            from mirnet import cli
+            from mirnet.pipeline import AnalysisConfig, run_pipeline
+            cfg = AnalysisConfig({str(price_file)!r}, "out", alphabet_sizes=[4],
+                                 graph_kinds=["mst", "pmfg"])
+            assert run_pipeline(cfg)["status"] == "ok"
+            sys.exit(cli.main(["export", "--matrix", "out/mir_a4_distances.csv",
+                               "--kind", "pmfg", "--format", "graphml",
+                               "--out", "exported.graphml"]))
+        """
+        result = run_python(code, tmp_path)
+        assert result.returncode == 0, result.stderr
+        for name in ("correlation_mst", "correlation_pmfg", "mir_a4_pmfg"):
+            assert nx.read_graphml(tmp_path / "out" / f"{name}.graphml").number_of_nodes() == 8
+        assert nx.read_graphml(tmp_path / "exported.graphml").number_of_edges() == 3 * (8 - 2)
 
 
 class TestConfig:
@@ -61,6 +101,50 @@ class TestConfig:
             AnalysisConfig(input_path="in.csv", output_dir="out", **{field: value})
         message = str(exc.value)
         assert field in message and culprit in message and allowed in message
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alphabet_sizes", ["4"]),
+            ("alphabet_sizes", [4.5]),
+            ("alphabet_sizes", [True]),
+            ("alphabet_sizes", 4),
+            ("methods", "mir"),
+            ("graph_kinds", "mst"),
+            ("corr_variant", ["sqrt"]),
+            ("min_length", "x"),
+            ("min_length", 500.0),
+            ("min_length", False),
+            ("weighted_walk", "no"),
+            ("allow_short", 1),
+            ("zero_for_degenerate", None),
+            ("input_path", None),
+            ("delimiter", 9),
+        ],
+    )
+    def test_wrong_type_names_the_field(self, field, value):
+        values = {"input_path": "in.csv", "output_dir": "out", field: value}
+        with pytest.raises(ValidationError, match=rf"^{field}: expected "):
+            AnalysisConfig(**values)
+
+    def test_tuple_fields_read_as_lists(self):
+        cfg = AnalysisConfig(
+            input_path="in.csv", output_dir="out", alphabet_sizes=(4, 10),
+            methods=("correlation", "mir"), graph_kinds=("mst", "pmfg"),
+        )
+        assert cfg == AnalysisConfig(input_path="in.csv", output_dir="out")
+
+    @pytest.mark.parametrize(
+        "text, culprit",
+        [
+            ('{"input_path": "in.csv", "output_dir": "out", "colour": "blue"}',
+             "'colour'"),
+            ('["in.csv", "out"]', "JSON object"),
+        ],
+    )
+    def test_from_json_refuses_what_is_not_a_config(self, text, culprit):
+        with pytest.raises(ValidationError, match=culprit):
+            AnalysisConfig.from_json(text)
 
     def test_combinations_unique_artifacts(self):
         cfg = AnalysisConfig(input_path="in.csv", output_dir="out")

@@ -27,11 +27,11 @@ class CentralityVector:
         """Scores rescaled to sum to one (the layout of published tables)."""
         return self.scores / self.scores.sum()
 
-    def to_delimited(self, delimiter: str = ",") -> str:
-        lines = [delimiter.join(["vertex", "score", "normalized"])]
+    def to_delimited(self) -> str:
+        lines = ["vertex,score,normalized"]
         norm = self.normalized()
         for t, s, ns in zip(self.tickers, self.scores, norm):
-            lines.append(delimiter.join([t, f"{s:.10g}", f"{ns:.10g}"]))
+            lines.append(f"{t},{s:.10g},{ns:.10g}")
         return "\n".join(lines) + "\n"
 
 

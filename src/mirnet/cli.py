@@ -45,28 +45,24 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     """Flags that both run and entropy read; each dest is a config field."""
     p.add_argument("--input", dest="input_path", metavar="INPUT",
                    help="delimited price table")
-    p.add_argument("--delimiter", help="field delimiter (default ,)")
-    p.add_argument("--date-column", help="name of the date column (default date)")
+    p.add_argument("--delimiter", help="field delimiter")
+    p.add_argument("--date-column", help="name of the date column")
     p.add_argument("--alphabet-sizes", type=_int_list,
-                   help="comma-separated alphabet sizes for MIR methods (default 4,10)")
-    p.add_argument("--min-length", type=int,
-                   help="minimum usable sequence length (default 500)")
+                   help="comma-separated alphabet sizes for MIR methods")
+    p.add_argument("--min-length", type=int, help="minimum usable sequence length")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     """The rest of the run flags; each dest is a config field."""
-    p.add_argument("--config", help="JSON config file; flags override its fields")
+    p.add_argument("--config", help="JSON config file; flags override its fields, "
+                   "and a field set by neither keeps its AnalysisConfig default")
     p.add_argument("--output-dir", help="directory for result artifacts")
     p.add_argument("--methods", type=lambda text: text.split(","),
-                   help="comma-separated distance methods (default correlation,mir)")
+                   help="comma-separated distance methods")
     p.add_argument("--graph-kinds", type=lambda text: text.split(","),
-                   help="comma-separated graph kinds (default mst,pmfg)")
-    p.add_argument(
-        "--corr-metric",
-        dest="corr_variant",
-        choices=CORR_VARIANTS,
-        help="correlation distance form (default 1 - rho^2)",
-    )
+                   help="comma-separated graph kinds")
+    p.add_argument("--corr-metric", dest="corr_variant", choices=CORR_VARIANTS,
+                   help="correlation distance form")
     p.add_argument("--weighted-walk", action="store_true", default=None,
                    help="use similarity-weighted random walk for centrality")
     p.add_argument("--allow-short", action="store_true", default=None,
@@ -87,10 +83,6 @@ def _config_from_args(args) -> AnalysisConfig:
     values = json.loads(Path(args.config).read_text()) if args.config else {}
     if isinstance(values, dict):  # from_json refuses any other document
         values.update(_given(args, AnalysisConfig))
-        if "input_path" not in values or "output_dir" not in values:
-            raise ValueError(
-                "both --input and --output-dir (or config equivalents) are required"
-            )
     return AnalysisConfig.from_json(json.dumps(values))
 
 

@@ -14,7 +14,7 @@ from .errors import (
     UndefinedCorrelationError,
     ValidationError,
 )
-from .ingest import ReturnSeries, SymbolSequence
+from .ingest import SymbolSequence
 
 METHODS = ("correlation", "mir", "mir_prime")
 CORR_VARIANTS = ("one_minus_r2", "sqrt")
@@ -46,7 +46,6 @@ class DistanceMatrix:
     params: dict = field(default_factory=dict)
     # pairs whose raw mutual complexity was negative before clamping
     clamped_pairs: int = 0
-    total_pairs: int = 0
 
     def __post_init__(self):
         values = self.values = np.asarray(self.values, dtype=float)
@@ -108,14 +107,19 @@ class DistanceMatrix:
         return len(self.tickers)
 
     @property
+    def total_pairs(self) -> int:
+        return self.n * (self.n - 1) // 2
+
+    @property
     def clamp_fraction(self) -> float:
         return self.clamped_pairs / self.total_pairs if self.total_pairs else 0.0
 
     def to_delimited(self, delimiter: str = ",") -> str:
-        """Matrix as delimited text with tickers on both axes."""
+        """Matrix as delimited text with tickers on both axes; each value is
+        written as its ``repr``, so ``from_delimited`` reads back the same bits."""
         lines = [delimiter.join(["", *self.tickers])]
-        for t, row in zip(self.tickers, self.values):
-            lines.append(delimiter.join([t, *(f"{v:.10g}" for v in row)]))
+        for t, row in zip(self.tickers, self.values.tolist()):
+            lines.append(delimiter.join([t, *map(repr, row)]))
         return "\n".join(lines) + "\n"
 
     def report(self) -> dict:
@@ -125,14 +129,28 @@ class DistanceMatrix:
             "params": self.params,
             "tickers": list(self.tickers),
             "n": self.n,
-            "independent_pairs": self.n * (self.n - 1) // 2,
+            "independent_pairs": self.total_pairs,
             "clamped_pairs": self.clamped_pairs,
             "clamp_fraction": self.clamp_fraction,
         }
 
 
-def _returns(x) -> np.ndarray:
-    return np.asarray(x.returns if isinstance(x, ReturnSeries) else x, dtype=float)
+def _name(series, k: int) -> str:
+    return getattr(series[k], "ticker", f"series {k}")
+
+
+def _stacked(series, rows) -> tuple[np.ndarray, np.ndarray]:
+    """``rows``, one per series, as one (n, m) array, and which rows are
+    constant. A row of another length than the first raises ``AlignmentError``
+    naming the pair (a bare array is named by its position)."""
+    for k, r in enumerate(rows):
+        if len(r) != len(rows[0]):
+            raise AlignmentError(
+                f"pair ({_name(series, 0)}, {_name(series, k)}): length mismatch: "
+                f"{len(rows[0])} vs {len(r)}"
+            )
+    stack = np.array(rows)
+    return stack, (stack == stack[:, :1]).all(axis=1)
 
 
 def _correlations(series) -> np.ndarray:
@@ -140,25 +158,18 @@ def _correlations(series) -> np.ndarray:
 
     The returns are stacked once and centred in place; rho[i, j] is
     xd_i . xd_j / sqrt(v_i v_j) with v_i = xd_i . xd_i. Lengths and constant
-    series are checked once per series, before the product, and the errors
-    name the ticker or the pair (a bare array is named by its position).
+    series are checked on the stack, before the product, and the errors name
+    the pair or the ticker.
     """
-    names = [getattr(s, "ticker", f"series {k}") for k, s in enumerate(series)]
-    rows = [_returns(s) for s in series]
-    for name, r in zip(names, rows):
-        if r.size != rows[0].size:
-            raise AlignmentError(
-                f"pair ({names[0]}, {name}): length mismatch: "
-                f"{rows[0].size} vs {r.size}"
-            )
-    if rows[0].size < 2:
+    rows = [np.asarray(getattr(s, "returns", s), dtype=float) for s in series]
+    xd, constant = _stacked(series, rows)
+    if xd.shape[1] < 2:
         raise AlignmentError("correlation needs at least 2 observations")
-    for name, r in zip(names, rows):
-        if (r == r[0]).all():
-            raise UndefinedCorrelationError(
-                f"{name}: correlation undefined for a constant series"
-            )
-    xd = np.array(rows)
+    if constant.any():
+        name = _name(series, constant.argmax())
+        raise UndefinedCorrelationError(
+            f"{name}: correlation undefined for a constant series"
+        )
     xd -= xd.mean(axis=1, keepdims=True)
     v = np.einsum("ij,ij->i", xd, xd)
     return (xd @ xd.T) / np.sqrt(np.outer(v, v))
@@ -188,29 +199,23 @@ def corr_distance(x, y, *, variant: str = "one_minus_r2") -> float:
 def _mir_values(series, method, allow_short, min_length, zero_for_degenerate):
     """MIR distances of every pair of ``series``, and how many were clamped.
 
-    Per series, once: the type, alphabet and length checks, its marginal
-    rate, and whether it is constant. Per pair, as arrays: the degenerate mask,
-    the joint rates (``JOINT_SYMBOL_BUDGET`` symbols per ``lz.match_lengths``
-    call), MIR = HR(x) + HR(y) - HR(x,y) clamped at zero, and D = (HR(x,y) -
-    MIR) / HR(x,y) or D' = 1 - MIR / max(HR(x), HR(y)) clipped to [0, 1]. The
-    count is of pairs whose MIR was negative before the clamp.
+    Checked once per matrix, in order: type, alphabet, lengths, the short
+    rule (``lz._check_length``), degenerate pairs. Every rate comes from one
+    chunked pass over index pairs (a, b), rows S[a] + alpha * S[b]: the
+    self-pairs (k, k) first, whose rows recode S[k] injectively and in order
+    and so have its exact match lengths, then the upper triangle. MIR =
+    HR(x) + HR(y) - HR(x,y), clamped at 0 (the count is of pairs clamped),
+    gives D = (HR(x,y) - MIR) / HR(x,y) or D' = 1 - MIR / max(HR(x), HR(y)).
     """
     if not all(isinstance(s, SymbolSequence) for s in series):
         raise TypeError("MIR distances require discretized SymbolSequence inputs")
     alphas = {s.alphabet_size for s in series}
     if len(alphas) != 1:
         raise AlignmentError(f"mixed alphabet sizes in one matrix: {sorted(alphas)}")
-    first = series[0]
-    for s in series:
-        if len(s) != len(first):
-            raise AlignmentError(
-                f"pair ({first.ticker}, {s.ticker}): length mismatch: "
-                f"{len(first)} vs {len(s)}"
-            )
-    opts = dict(min_length=min_length, allow_short=allow_short, estimator=MIR_ESTIMATOR)
-    h = np.array([lz.entropy_rate(s, **opts).value for s in series])
-    n = len(series)
-    constant = np.array([(s.symbols == s.symbols[:1]).all() for s in series])
+    (alpha,) = alphas
+    stack, constant = _stacked(series, [s.symbols for s in series])
+    n, m = stack.shape
+    lz._check_length(m, min_length, allow_short)
     i, j = np.triu_indices(n, 1)
     degenerate = constant[i] & constant[j]
     if degenerate.any() and not zero_for_degenerate:
@@ -220,14 +225,16 @@ def _mir_values(series, method, allow_short, min_length, zero_for_degenerate):
             "constant, MIR distance undefined"
         )
     i, j = i[~degenerate], j[~degenerate]
-    hxy = np.empty(i.size)
-    rows_per_call = max(1, JOINT_SYMBOL_BUDGET // len(first))
-    # chunk by chunk: one joint batch alive at a time, not all n(n-1)/2 rows
-    for start in range(0, i.size, rows_per_call):
+    # the self-pairs come first, not interleaved with the pairs (which measured
+    # slower); one chunk of rows is alive at a time, not all n(n+1)/2
+    a, b = np.r_[np.arange(n), i], np.r_[np.arange(n), j]
+    rates = np.empty(a.size)
+    rows_per_call = max(1, JOINT_SYMBOL_BUDGET // m)
+    for start in range(0, a.size, rows_per_call):
         chunk = slice(start, start + rows_per_call)
-        joint = np.array([lz.join(series[a], series[b]).symbols
-                          for a, b in zip(i[chunk], j[chunk])])
-        hxy[chunk] = lz.ratio_rate(lz.match_lengths(joint))
+        rows = stack[a[chunk]] + alpha * stack[b[chunk]]
+        rates[chunk] = lz.ratio_rate(lz.match_lengths(rows))
+    h, hxy = rates[:n], rates[n:]
     raw = h[i] + h[j] - hxy
     mir = np.maximum(raw, 0.0)
     if method == "mir":
@@ -288,23 +295,18 @@ def build_matrix(
 
     Correlation distances come from one Gram product of the centred returns;
     the upper triangle is mirrored, so the matrix is exactly symmetric with a
-    zero diagonal. A constant series raises ``UndefinedCorrelationError``
-    naming the ticker, and a length mismatch ``AlignmentError`` naming the
-    pair. MIR matrices share one routine with ``mir_distance`` and
-    ``mir_prime_distance``; the matrix records how many pairs needed the
-    negative-mutual-complexity clamp. Lengths are checked before degeneracy:
-    a pair of unequal lengths raises ``AlignmentError`` naming it, even under
-    ``zero_for_degenerate``; then a pair of constant sequences raises
-    ``DegeneratePairError`` naming it, or is set to 0 under
-    ``zero_for_degenerate``. MIR rates use the paper's estimator
-    (``MIR_ESTIMATOR``): the distances are the paper's normalised metrics,
-    and the slope estimator's larger spread at a few thousand returns would
-    reach them undamped.
+    zero diagonal. Both families check lengths first: a length mismatch raises
+    ``AlignmentError`` naming the pair, even under ``zero_for_degenerate``.
+    A constant series raises ``UndefinedCorrelationError`` naming the ticker;
+    a pair of constant sequences raises ``DegeneratePairError`` naming it, or
+    gets 0 under ``zero_for_degenerate``. MIR matrices share one routine with
+    ``mir_distance`` and ``mir_prime_distance``, use the paper's estimator
+    (``MIR_ESTIMATOR``), whose spread at a few thousand returns is smaller
+    than the slope's, and record how many pairs needed the clamp.
     """
     series = list(series)
-    n = len(series)
-    if n < 3:
-        raise AlignmentError(f"need at least 3 instruments, got {n}")
+    if len(series) < 3:
+        raise AlignmentError(f"need at least 3 instruments, got {len(series)}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "correlation":
@@ -323,5 +325,4 @@ def build_matrix(
         values=values,
         params=params,
         clamped_pairs=clamped,
-        total_pairs=n * (n - 1) // 2,
     )

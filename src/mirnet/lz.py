@@ -37,7 +37,7 @@ has no such guarantee.
 
 ``match_lengths`` computes Lambda_t for one sequence or for a 2-D batch of
 equal-length rows in one set of numpy calls; ``distance.build_matrix`` hands
-it the joint sequences of many pairs at once. Per row it takes three steps:
+it the marginal and joint rows of a matrix in batches. Per row it takes three steps:
 
 1. Ranks and suffix array, by prefix doubling (Manber & Myers, SIAM J.
    Comput. 1993): each level sorts the int64 key (rank, rank 2**k further on)

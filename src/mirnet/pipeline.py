@@ -6,7 +6,7 @@ import json
 import shutil
 import tempfile
 import traceback
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import centrality as centrality_mod
@@ -14,6 +14,7 @@ from . import distance as distance_mod
 from . import graph as graph_mod
 from .errors import ValidationError
 from .ingest import discretize, load_price_table, log_returns
+from .lz import DEFAULT_MIN_LENGTH
 
 # written when a run compares centralities: the combined table, then the report
 COMPARISON_FILES = ("centrality_table.csv", "comparison_report.json")
@@ -38,7 +39,7 @@ class AnalysisConfig:
     graph_kinds: list[str] = field(default_factory=lambda: list(graph_mod.GRAPH_KINDS))
     corr_variant: str = "one_minus_r2"
     weighted_walk: bool = False
-    min_length: int = 500
+    min_length: int = DEFAULT_MIN_LENGTH
     allow_short: bool = False
     zero_for_degenerate: bool = False
 
@@ -74,14 +75,18 @@ class AnalysisConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisConfig":
-        """The config a JSON object describes; an unknown field, or a document
-        that is not an object, raises ``ValidationError``."""
+        """The config a JSON object describes; an unknown or missing required
+        field, or a document that is not an object, raises ``ValidationError``."""
         values = json.loads(text)
         if not isinstance(values, dict):
             raise ValidationError(f"config: expected a JSON object, got {values!r}")
         unknown = sorted(set(values) - {f.name for f in fields(cls)})
         if unknown:
             raise ValidationError(f"unknown config fields: {unknown}")
+        missing = [f.name for f in fields(cls) if f.name not in values
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ValidationError(f"missing required config fields: {missing}")
         return cls(**values)
 
     def combinations(self) -> list[dict]:

@@ -98,6 +98,14 @@ def test_run_requires_input_and_output(capsys):
     assert "required" in capsys.readouterr().err
 
 
+def test_run_help_restates_no_config_default(capsys):
+    # the defaults are declared once, in AnalysisConfig, which the help names
+    with pytest.raises(SystemExit):
+        cli.main(["run", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default" not in text and "AnalysisConfig default" in text
+
+
 def test_run_config_file_with_flag_override(price_file, tmp_path, capsys):
     cfg = {
         "input_path": str(price_file),
@@ -362,6 +370,20 @@ def test_export_mst_json_to_stdout(matrix_file, capsys):
     assert doc["kind"] == "mst"
     assert len(doc["edges"]) == 4
     assert set(doc["nodes"]) == {"A", "B", "C", "D", "E"}
+
+
+def test_export_rebuilds_the_runs_graph_exactly(price_file, tmp_path, capsys):
+    # the distance CSV is lossless, so the exported MST is the run's, weights too
+    out = tmp_path / "out"
+    code = cli.main(["run", "--input", str(price_file), "--output-dir", str(out),
+                     "--methods", "mir", "--alphabet-sizes", "4", "--graph-kinds", "mst"])
+    assert code == cli.EXIT_OK
+    capsys.readouterr()
+    code = cli.main(["export", "--matrix", str(out / "mir_a4_distances.csv"),
+                     "--format", "json"])
+    assert code == cli.EXIT_OK
+    exported = json.loads(capsys.readouterr().out)["edges"]
+    assert exported == json.loads((out / "mir_a4_mst.json").read_text())["edges"]
 
 
 def test_export_pmfg_graphml_to_file(matrix_file, tmp_path, capsys):

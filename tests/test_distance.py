@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,8 +269,9 @@ class TestBuildMatrix:
         assert m.values[0, 1] > 0.0
 
     def test_mir_rates_use_the_paper_estimator(self, monkeypatch):
-        # every entry, across several match-length calls (two joint rows per
-        # call), equals the paper's formula from lz's own rate functions
+        # every entry, across several match-length calls of two rows each,
+        # equals the paper's formula from lz's own rate functions; with 11
+        # series one call holds the last self-pair and the first joint row
         monkeypatch.setattr(distance, "JOINT_SYMBOL_BUDGET", 2 * 600)
         rng = np.random.default_rng(16)
         syms = [random_seq(rng, f"T{i}", 4, 600) for i in range(6)]
@@ -297,6 +300,37 @@ class TestBuildMatrix:
             assert m.clamped_pairs == clamped
         assert mir_distance(syms[0], syms[1]) == d[0, 1]
         assert mir_prime_distance(syms[0], syms[1]) == dp[0, 1]
+
+    def test_mir_rates_come_from_one_chunked_pass(self, monkeypatch):
+        # the marginal rates ride in the batched calls of the joint rows: no
+        # single-row call, and ceil((n + pairs) / rows-per-call) calls in all
+        shapes = []
+        kernel = lz.match_lengths
+
+        def counting(rows):
+            shapes.append(np.shape(rows))
+            return kernel(rows)
+
+        monkeypatch.setattr(lz, "match_lengths", counting)
+        rng = np.random.default_rng(23)
+        for n, m in ((7, 600), (12, 2501)):
+            shapes.clear()
+            build_matrix([random_seq(rng, f"T{i}", 4, m) for i in range(n)], "mir")
+            rows = n + n * (n - 1) // 2
+            rows_per_call = distance.JOINT_SYMBOL_BUDGET // m
+            assert len(shapes) == -(-rows // rows_per_call)
+            assert all(len(shape) == 2 for shape in shapes)
+            assert sum(shape[0] for shape in shapes) == rows
+
+    def test_short_mir_matrix_warns_once(self):
+        rng = np.random.default_rng(24)
+        syms = [random_seq(rng, f"T{i}", 4, 300) for i in range(5)]
+        for method in ("mir", "mir_prime"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                build_matrix(syms, method, allow_short=True)
+            assert len(caught) == 1
+            assert "only 300 symbols (minimum 500)" in str(caught[0].message)
 
     def test_alignment_checked_before_degeneracy(self):
         rng = np.random.default_rng(21)
@@ -336,15 +370,14 @@ class TestBuildMatrix:
 
 @st.composite
 def printed_matrices(draw):
-    """Symmetric zero-diagonal matrices of values that survive the 10-digit
-    text format unchanged."""
+    """Symmetric zero-diagonal matrices of floats in [0, 2]."""
     n = draw(st.integers(1, 8))
     tickers = draw(st.lists(st.text("ABCXYZ.-_0123456789", min_size=1, max_size=4),
                             min_size=n, max_size=n, unique=True))
-    upper = draw(st.lists(st.floats(0, 2, allow_subnormal=False),
-                          min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    upper = draw(st.lists(st.floats(0, 2), min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
     values = np.zeros((n, n))
-    values[np.triu_indices(n, 1)] = [float(f"{v:.10g}") for v in upper]
+    values[np.triu_indices(n, 1)] = upper
     return DistanceMatrix(tuple(tickers), "imported", values + values.T)
 
 
@@ -355,6 +388,11 @@ class TestDistanceMatrix:
         back = DistanceMatrix.from_delimited(m.to_delimited(delimiter), delimiter)
         assert back.tickers == m.tickers and back.method == "imported"
         assert np.array_equal(back.values, m.values)
+
+    def test_pair_count_is_derived(self):
+        text = ",A,B,C,D\nA,0,1,2,3\nB,1,0,4,5\nC,2,4,0,6\nD,3,5,6,0\n"
+        m = DistanceMatrix.from_delimited(text)
+        assert m.total_pairs == m.report()["independent_pairs"] == 6
 
     def test_values_become_a_float_array(self):
         m = DistanceMatrix(("A", "B"), "x", [[0, 1], [1, 0]])

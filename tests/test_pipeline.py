@@ -81,6 +81,7 @@ class TestConfig:
         assert cfg.alphabet_sizes == [4, 10]
         assert cfg.methods == ["correlation", "mir"]
         assert cfg.graph_kinds == ["mst", "pmfg"]
+        assert cfg.min_length == mirnet.lz.DEFAULT_MIN_LENGTH
 
     @pytest.mark.parametrize(
         "field, value, culprit, allowed",
@@ -140,6 +141,10 @@ class TestConfig:
             ('{"input_path": "in.csv", "output_dir": "out", "colour": "blue"}',
              "'colour'"),
             ('["in.csv", "out"]', "JSON object"),
+            ('{"input_path": "x.csv"}', r"missing required config fields: \['output_dir'\]"),
+            ('{"output_dir": "out", "methods": ["mir"]}',
+             r"missing required config fields: \['input_path'\]"),
+            ("{}", r"missing required config fields: \['input_path', 'output_dir'\]"),
         ],
     )
     def test_from_json_refuses_what_is_not_a_config(self, text, culprit):

@@ -43,10 +43,8 @@ from .ingest import (
     log_returns,
 )
 from .lz import (
-    JointSequence,
     LzEstimate,
     entropy_rate,
-    join,
     joint_entropy_rate,
     match_lengths,
     mutual_lz,

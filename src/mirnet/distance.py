@@ -24,11 +24,6 @@ CORR_VARIANTS = ("one_minus_r2", "sqrt")
 # and its spread at a few thousand returns is several times smaller.
 MIR_ESTIMATOR = "paper"
 
-# joint-sequence symbols per match-length call of a MIR matrix: enough rows to
-# spread numpy's per-call overhead; the kernel holds about 200 bytes a symbol,
-# and batches past 2**15 symbols ran slower at 2.5k-symbol rows, not faster
-JOINT_SYMBOL_BUDGET = 1 << 14
-
 
 @dataclass
 class DistanceMatrix:
@@ -201,11 +196,11 @@ def _mir_values(series, method, allow_short, min_length, zero_for_degenerate):
 
     Checked once per matrix, in order: type, alphabet, lengths, the short
     rule (``lz._check_length``), degenerate pairs. Every rate comes from one
-    chunked pass over index pairs (a, b), rows S[a] + alpha * S[b]: the
-    self-pairs (k, k) first, whose rows recode S[k] injectively and in order
-    and so have its exact match lengths, then the upper triangle. MIR =
-    HR(x) + HR(y) - HR(x,y), clamped at 0 (the count is of pairs clamped),
-    gives D = (HR(x,y) - MIR) / HR(x,y) or D' = 1 - MIR / max(HR(x), HR(y)).
+    ``lz.pair_rates`` pass over index pairs (a, b), rows S[a] + alpha * S[b]:
+    the self-pairs (k, k) first, which give the marginal rates, then the
+    upper triangle. MIR = HR(x) + HR(y) - HR(x,y), clamped at 0 (the count is
+    of pairs clamped), gives D = (HR(x,y) - MIR) / HR(x,y) or
+    D' = 1 - MIR / max(HR(x), HR(y)).
     """
     if not all(isinstance(s, SymbolSequence) for s in series):
         raise TypeError("MIR distances require discretized SymbolSequence inputs")
@@ -226,14 +221,9 @@ def _mir_values(series, method, allow_short, min_length, zero_for_degenerate):
         )
     i, j = i[~degenerate], j[~degenerate]
     # the self-pairs come first, not interleaved with the pairs (which measured
-    # slower); one chunk of rows is alive at a time, not all n(n+1)/2
+    # slower)
     a, b = np.r_[np.arange(n), i], np.r_[np.arange(n), j]
-    rates = np.empty(a.size)
-    rows_per_call = max(1, JOINT_SYMBOL_BUDGET // m)
-    for start in range(0, a.size, rows_per_call):
-        chunk = slice(start, start + rows_per_call)
-        rows = stack[a[chunk]] + alpha * stack[b[chunk]]
-        rates[chunk] = lz.ratio_rate(lz.match_lengths(rows))
+    rates = lz.pair_rates(stack, a, b, alpha, MIR_ESTIMATOR)
     h, hxy = rates[:n], rates[n:]
     raw = h[i] + h[j] - hxy
     mir = np.maximum(raw, 0.0)

@@ -29,15 +29,16 @@ estimators turn match lengths into a rate:
   gives 1.95 bits instead of 2 and 3.69 instead of 4 at n = 1e5. It has a
   much smaller variance than the slope at a few thousand symbols.
 
-Joint rates are estimated on the product-alphabet pairing of two sequences,
-and the mutual rate is the inclusion-exclusion combination of the three
-estimates. The ratio never rates a pairing below either component, because
-the joint match lengths are pointwise at most the component ones; the slope
-has no such guarantee.
+Every rate comes from ``pair_rates``: the rate of the pairing x + ax * y of
+two rows, or of a self-pair x + ax * x, which recodes x and so rates x
+itself. ``mutual_lz`` takes HR(x), HR(y) and HR(x,y) from one call, and
+``distance.build_matrix`` every rate of a matrix. The ratio never rates a
+pairing below either component, because the joint match lengths are
+pointwise at most the component ones; the slope has no such guarantee.
 
 ``match_lengths`` computes Lambda_t for one sequence or for a 2-D batch of
-equal-length rows in one set of numpy calls; ``distance.build_matrix`` hands
-it the marginal and joint rows of a matrix in batches. Per row it takes three steps:
+equal-length rows in one set of numpy calls; ``pair_rates`` hands it its rows
+in chunks. Per row it takes three steps:
 
 1. Ranks and suffix array, by prefix doubling (Manber & Myers, SIAM J.
    Comput. 1993): each level sorts the int64 key (rank, rank 2**k further on)
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, InsufficientDataError
+from .errors import AlignmentError, InsufficientDataError, ValidationError
 
 DEFAULT_MIN_LENGTH = 500
 
@@ -72,6 +73,11 @@ DEFAULT_ESTIMATOR = "slope"
 
 # finite-sample overshoot above log2(alphabet) tolerated before flagging
 OVERSHOOT_FRACTION = 0.10
+
+# symbols per match-length call of ``pair_rates``: enough rows to spread
+# numpy's per-call overhead; the kernel holds about 200 bytes a symbol, and
+# batches past 2**15 symbols ran slower at 2.5k-symbol rows, not faster
+JOINT_SYMBOL_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -87,24 +93,6 @@ class LzEstimate:
         """True when the estimate exceeds log2(alphabet) by more than 10%."""
         cap = np.log2(self.alphabet_size) if self.alphabet_size > 1 else 0.0
         return self.value > cap * (1.0 + OVERSHOOT_FRACTION) + 1e-12
-
-
-@dataclass(frozen=True)
-class JointSequence:
-    """Product-alphabet pairing of two equal-length symbol sequences."""
-
-    symbols: np.ndarray
-    component_alphabets: tuple[int, int]
-
-    @property
-    def alphabet_size(self) -> int:
-        ax, ay = self.component_alphabets
-        return ax * ay
-
-    def components(self) -> tuple[np.ndarray, np.ndarray]:
-        """Recover the two component sequences (base-ax decomposition)."""
-        ax, _ = self.component_alphabets
-        return self.symbols % ax, self.symbols // ax
 
 
 def _padded(rows: np.ndarray, front: int) -> np.ndarray:
@@ -232,6 +220,8 @@ def match_lengths(seq) -> np.ndarray:
 
 
 def _check_length(n: int, min_length: int, allow_short: bool) -> None:
+    # every public entry point calls this at the same depth, so stacklevel 4
+    # names the line that called the entry point
     if n < min_length:
         if not allow_short:
             raise InsufficientDataError(
@@ -241,16 +231,12 @@ def _check_length(n: int, min_length: int, allow_short: bool) -> None:
         warnings.warn(
             f"entropy-rate estimate on only {n} symbols (minimum {min_length}); "
             "expect substantial finite-sample bias",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
-def ratio_rate(lam: np.ndarray):
-    """The paper's estimator n*log2(n) / sum(Lambda_t), along the last axis.
-
-    Takes the match lengths of one sequence or of a batch of equal-length
-    rows, and returns a float64 scalar or one rate per row.
-    """
+def _ratio_rate(lam: np.ndarray):
+    """The paper's estimator n*log2(n) / sum(Lambda_t), along the last axis."""
     n = lam.shape[-1]
     return n * np.log2(n) / lam.sum(axis=-1)
 
@@ -269,7 +255,56 @@ def _slope_rate(lam: np.ndarray) -> float:
         slope = float(xc @ (y - y.mean())) / float(xc @ xc)
         if slope > 0.0:
             return 1.0 / slope
-    return float(ratio_rate(lam))
+    return float(_ratio_rate(lam))
+
+
+def pair_rates(stack: np.ndarray, a, b, alpha: int, estimator: str) -> np.ndarray:
+    """Rate of each row ``stack[a] + alpha * stack[b]``, in bits per symbol.
+
+    ``stack`` holds equal-length rows of symbols in [0, alpha). A self-pair
+    (k, k) recodes row k injectively and in order, so it rates row k itself.
+    The rows are built and measured in chunks of ``JOINT_SYMBOL_BUDGET``
+    symbols (at least one row), so one chunk is alive at a time.
+    """
+    m = stack.shape[1]
+    rates = np.empty(len(a))
+    rows_per_call = max(1, JOINT_SYMBOL_BUDGET // m)
+    for start in range(0, len(a), rows_per_call):
+        chunk = slice(start, start + rows_per_call)
+        lam = match_lengths(stack[a[chunk]] + alpha * stack[b[chunk]])
+        if estimator == "paper":
+            rates[chunk] = _ratio_rate(lam)
+        else:
+            rates[chunk] = [_slope_rate(row) for row in lam]
+    return rates
+
+
+def _estimate(seqs, a, b, min_length, allow_short, estimator, alphabet_size=None):
+    """``pair_rates`` of the pairs (a, b) of ``seqs``, after every check, with
+    the length and each sequence's alphabet: ``alphabet_size`` if given, else
+    its own ``alphabet_size``, else its largest symbol + 1. A symbol outside
+    the alphabet would collide in the pairing and raises ``ValidationError``."""
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
+    rows = [np.asarray(getattr(s, "symbols", s), dtype=np.int64) for s in seqs]
+    n = rows[0].size
+    if rows[-1].size != n:
+        raise AlignmentError(f"cannot pair sequences of lengths {n} and {rows[-1].size}")
+    if n < 2:
+        raise InsufficientDataError("entropy rate needs at least 2 symbols")
+    alphabets = []
+    for seq, row in zip(seqs, rows):
+        own = getattr(seq, "alphabet_size", row.max() + 1)
+        alphabet = own if alphabet_size is None else alphabet_size
+        outside = np.flatnonzero((row < 0) | (row >= alphabet))
+        if outside.size:
+            t = outside[0]
+            raise ValidationError(
+                f"symbol {row[t]} at position {t} is outside [0, {alphabet})"
+            )
+        alphabets.append(int(alphabet))
+    _check_length(n, min_length, allow_short)
+    return pair_rates(np.array(rows), a, b, alphabets[0], estimator), n, alphabets
 
 
 def entropy_rate(
@@ -289,40 +324,9 @@ def entropy_rate(
     The ratio n*log2(n) / sum(Lambda_t) is biased low by O(1/log n), and the
     bias grows with the alphabet. Raises ``ValueError`` for any other name.
     """
-    if estimator not in ESTIMATORS:
-        raise ValueError(
-            f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}"
-        )
-    symbols, inferred_alphabet = _as_symbols(seq)
-    n = symbols.size
-    if n < 2:
-        raise InsufficientDataError("entropy rate needs at least 2 symbols")
-    _check_length(n, min_length, allow_short)
-    if alphabet_size is None:
-        alphabet_size = inferred_alphabet
-    lam = match_lengths(symbols)
-    value = _slope_rate(lam) if estimator == "slope" else float(ratio_rate(lam))
-    return LzEstimate(value=value, n=n, alphabet_size=int(alphabet_size))
-
-
-def _as_symbols(seq) -> tuple[np.ndarray, int]:
-    symbols = np.asarray(seq.symbols if hasattr(seq, "symbols") else seq, dtype=np.int64)
-    if hasattr(seq, "alphabet_size"):
-        alpha = int(seq.alphabet_size)
-    else:
-        alpha = int(symbols.max()) + 1 if symbols.size else 0
-    return symbols, alpha
-
-
-def join(x, y) -> JointSequence:
-    """Pair two sequences into one over the product alphabet: z = x + y*ax."""
-    xs, ax = _as_symbols(x)
-    ys, ay = _as_symbols(y)
-    if xs.size != ys.size:
-        raise AlignmentError(
-            f"cannot join sequences of lengths {xs.size} and {ys.size}"
-        )
-    return JointSequence(symbols=xs + ys * ax, component_alphabets=(ax, ay))
+    args = min_length, allow_short, estimator, alphabet_size
+    (h,), n, (alphabet,) = _estimate([seq], [0], [0], *args)
+    return LzEstimate(value=float(h), n=n, alphabet_size=alphabet)
 
 
 def joint_entropy_rate(
@@ -333,13 +337,10 @@ def joint_entropy_rate(
     allow_short: bool = False,
     estimator: str = DEFAULT_ESTIMATOR,
 ) -> LzEstimate:
-    """Entropy rate of the product-alphabet pairing of x and y."""
-    return entropy_rate(
-        join(x, y),
-        min_length=min_length,
-        allow_short=allow_short,
-        estimator=estimator,
-    )
+    """Entropy rate of the product-alphabet pairing x + ax * y of x and y."""
+    args = min_length, allow_short, estimator
+    (hxy,), n, (ax, ay) = _estimate([x, y], [0], [1], *args)
+    return LzEstimate(value=float(hxy), n=n, alphabet_size=ax * ay)
 
 
 def mutual_lz(
@@ -353,11 +354,9 @@ def mutual_lz(
     """Mutual complexity HR(x) + HR(y) - HR(x,y), unclamped.
 
     May be transiently negative at finite n; callers that need a
-    non-negative rate clamp downstream. ``estimator`` is passed to all three
-    rate estimates.
+    non-negative rate clamp downstream. ``estimator`` is used for all three
+    rates, which come from one ``pair_rates`` pass: (0, 0), (1, 1), (0, 1).
     """
-    opts = dict(min_length=min_length, allow_short=allow_short, estimator=estimator)
-    hx = entropy_rate(x, **opts)
-    hy = entropy_rate(y, **opts)
-    hxy = joint_entropy_rate(x, y, **opts)
-    return hx.value + hy.value - hxy.value
+    args = min_length, allow_short, estimator
+    (hx, hy, hxy), _, _ = _estimate([x, y], [0, 1, 0], [0, 1, 1], *args)
+    return float(hx + hy - hxy)

@@ -21,6 +21,8 @@ from .errors import ValidationError
 
 MODES = ("iid", "factor", "nonlinear")
 
+VOLATILITY = 0.01  # daily return scale of the price paths
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -30,7 +32,6 @@ class SynthSpec:
     seed: int = 0
     factor_loading: float = 0.7  # factor mode: weight of the shared factor
     noise_scale: float = 0.1  # nonlinear mode: noise added on top of x**2
-    volatility: float = 0.01  # daily return scale of the price paths
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -67,7 +68,7 @@ def generate_returns(spec: SynthSpec) -> tuple[list[str], np.ndarray]:
     # center each column so price paths do not drift systematically
     panel = panel - panel.mean(axis=0)
     tickers = [f"SYN{j:02d}" for j in range(n)]
-    return tickers, panel * spec.volatility
+    return tickers, panel * VOLATILITY
 
 
 def generate_price_table(spec: SynthSpec) -> str:

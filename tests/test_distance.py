@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirnet import distance, lz
+from mirnet import lz
 from mirnet.distance import (
     DistanceMatrix,
     build_matrix,
@@ -272,7 +272,7 @@ class TestBuildMatrix:
         # every entry, across several match-length calls of two rows each,
         # equals the paper's formula from lz's own rate functions; with 11
         # series one call holds the last self-pair and the first joint row
-        monkeypatch.setattr(distance, "JOINT_SYMBOL_BUDGET", 2 * 600)
+        monkeypatch.setattr(lz, "JOINT_SYMBOL_BUDGET", 2 * 600)
         rng = np.random.default_rng(16)
         syms = [random_seq(rng, f"T{i}", 4, 600) for i in range(6)]
         syms.append(seq("COPY", syms[0].symbols))
@@ -317,7 +317,7 @@ class TestBuildMatrix:
             shapes.clear()
             build_matrix([random_seq(rng, f"T{i}", 4, m) for i in range(n)], "mir")
             rows = n + n * (n - 1) // 2
-            rows_per_call = distance.JOINT_SYMBOL_BUDGET // m
+            rows_per_call = lz.JOINT_SYMBOL_BUDGET // m
             assert len(shapes) == -(-rows // rows_per_call)
             assert all(len(shape) == 2 for shape in shapes)
             assert sum(shape[0] for shape in shapes) == rows

@@ -1,14 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirnet.errors import AlignmentError, InsufficientDataError
+from mirnet import lz
+from mirnet.distance import build_matrix, mir_distance, mir_prime_distance
+from mirnet.errors import AlignmentError, InsufficientDataError, ValidationError
 from mirnet.ingest import SymbolSequence
 from mirnet.lz import (
     ESTIMATORS,
     entropy_rate,
-    join,
     joint_entropy_rate,
     match_lengths,
     mutual_lz,
@@ -176,7 +179,7 @@ class TestEstimatorKeyword:
         x, y = rng.integers(0, 4, size=800), rng.integers(0, 4, size=800)
         for name in ESTIMATORS:
             opts = dict(allow_short=True, estimator=name)
-            hxy = entropy_rate(join(x, y).symbols, alphabet_size=16, **opts).value
+            hxy = entropy_rate(x + 4 * y, alphabet_size=16, **opts).value
             assert joint_entropy_rate(x, y, **opts).value == hxy
             hx, hy = entropy_rate(x, **opts).value, entropy_rate(y, **opts).value
             assert mutual_lz(x, y, **opts) == hx + hy - hxy
@@ -198,32 +201,55 @@ class TestEstimatorKeyword:
 
 class TestJoin:
     def test_direct_formula(self):
-        z = join(SymbolSequence("x", 2, [0, 1]), SymbolSequence("y", 2, [1, 0]))
-        assert z.symbols.tolist() == [2, 1]
-        assert z.alphabet_size == 4
+        # the joint rate is the rate of the pairing x + ax * y
+        rng = np.random.default_rng(0)
+        x = SymbolSequence("x", 2, rng.integers(0, 2, 600))
+        y = SymbolSequence("y", 3, rng.integers(0, 3, 600))
+        for name in ESTIMATORS:
+            joint = joint_entropy_rate(x, y, estimator=name)
+            paired = entropy_rate(x.symbols + 2 * y.symbols, estimator=name)
+            assert joint.value == paired.value
 
     def test_self_join_is_injective_recoding(self):
-        x = SymbolSequence("x", 3, [0, 1, 2, 1, 0])
-        z = join(x, x)
-        assert z.symbols.tolist() == [v * 4 for v in [0, 1, 2, 1, 0]]
+        x = SymbolSequence("x", 3, np.random.default_rng(2).integers(0, 3, 600))
+        for name in ESTIMATORS:
+            joint = joint_entropy_rate(x, x, estimator=name).value
+            assert joint == entropy_rate(4 * x.symbols, estimator=name).value
 
     def test_product_alphabet(self):
         rng = np.random.default_rng(0)
-        x = SymbolSequence("x", 4, rng.integers(0, 4, 50))
-        y = SymbolSequence("y", 10, rng.integers(0, 10, 50))
-        assert join(x, y).alphabet_size == 40
-
-    def test_components_roundtrip(self):
-        rng = np.random.default_rng(1)
-        x = SymbolSequence("x", 4, rng.integers(0, 4, 100))
-        y = SymbolSequence("y", 7, rng.integers(0, 7, 100))
-        rx, ry = join(x, y).components()
-        assert np.array_equal(rx, x.symbols)
-        assert np.array_equal(ry, y.symbols)
+        x = SymbolSequence("x", 4, rng.integers(0, 4, 600))
+        y = SymbolSequence("y", 10, rng.integers(0, 10, 600))
+        assert joint_entropy_rate(x, y).alphabet_size == 40
 
     def test_length_mismatch(self):
-        with pytest.raises(AlignmentError):
-            join(SymbolSequence("x", 2, [0, 1]), SymbolSequence("y", 2, [0, 1, 0]))
+        x, y = SymbolSequence("x", 2, [0, 1]), SymbolSequence("y", 2, [0, 1, 0])
+        for call in (joint_entropy_rate, mutual_lz):
+            with pytest.raises(AlignmentError, match="lengths 2 and 3"):
+                call(x, y, allow_short=True)
+
+
+class TestSymbolRange:
+    # a bare array's alphabet is its largest symbol + 1, or the alphabet_size
+    # given; a symbol outside [0, alphabet) would collide in the pairing
+    def test_shifted_symbols_raise_naming_the_value(self):
+        rng = np.random.default_rng(1)
+        x, y = rng.integers(0, 3, 5000), rng.integers(0, 3, 5000)
+        calls = (
+            lambda: entropy_rate(x - 1),
+            lambda: joint_entropy_rate(x - 1, y),
+            lambda: joint_entropy_rate(y, x - 1),
+            lambda: mutual_lz(x - 1, y, estimator="paper"),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError, match=r"symbol -1 .*\[0, 2\)"):
+                call()
+
+    def test_symbols_beyond_the_given_alphabet_raise(self):
+        x = np.tile([0, 1, 2], 200)
+        with pytest.raises(ValidationError, match=r"symbol 2 .*\[0, 2\)"):
+            entropy_rate(x, alphabet_size=2)
+        assert entropy_rate(x, alphabet_size=3).alphabet_size == 3
 
 
 class TestJointAndMutual:
@@ -286,3 +312,45 @@ class TestJointAndMutual:
         ]
         assert np.median(np.abs(big)) < np.median(np.abs(small))
         assert np.median(np.abs(big)) < 0.3
+
+
+class TestOneRatePass:
+    def test_mutual_rates_share_kernel_calls_within_the_budget(self, monkeypatch):
+        # three rows fit in one call at m = 2500; at m = 1e5 each row is one
+        shapes = []
+        kernel = lz.match_lengths
+
+        def counting(rows):
+            shapes.append(np.shape(rows))
+            return kernel(rows)
+
+        monkeypatch.setattr(lz, "match_lengths", counting)
+        rng = np.random.default_rng(41)
+        for m, calls in ((2500, 1), (100_000, 3)):
+            shapes.clear()
+            mutual_lz(rng.integers(0, 4, m), rng.integers(0, 4, m))
+            assert len(shapes) == calls
+            assert sum(shape[0] for shape in shapes) == 3
+
+
+SHORT = [
+    SymbolSequence(f"T{i}", 4, np.random.default_rng(40 + i).integers(0, 4, 300))
+    for i in range(3)
+]
+ENTRY_POINTS = {
+    "entropy_rate": lambda: entropy_rate(SHORT[0], allow_short=True),
+    "joint_entropy_rate": lambda: joint_entropy_rate(*SHORT[:2], allow_short=True),
+    "mutual_lz": lambda: mutual_lz(*SHORT[:2], allow_short=True),
+    "build_matrix": lambda: build_matrix(SHORT, "mir", allow_short=True),
+    "mir_distance": lambda: mir_distance(*SHORT[:2], allow_short=True),
+    "mir_prime_distance": lambda: mir_prime_distance(*SHORT[:2], allow_short=True),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
+def test_short_series_warns_once_at_the_caller(entry_point):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ENTRY_POINTS[entry_point]()
+    assert [w.filename for w in caught] == [__file__]
+    assert "only 300 symbols (minimum 500)" in str(caught[0].message)

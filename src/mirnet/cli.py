@@ -67,9 +67,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="use similarity-weighted random walk for centrality")
     p.add_argument("--allow-short", action="store_true", default=None,
                    help="estimate below the minimum length, with a warning")
-    p.add_argument("--zero-degenerate", dest="zero_for_degenerate",
-                   action="store_true", default=None,
-                   help="map degenerate constant pairs to distance 0 instead of failing")
 
 
 def _given(args, cls) -> dict:

@@ -251,8 +251,10 @@ def _slope_rate(lam: np.ndarray) -> float:
     x = np.log2(t[uncensored])
     y = lam[1:][uncensored]
     if x.size >= 2:
+        # elementwise sums, not BLAS dot products, so the bits do not depend
+        # on the BLAS thread count
         xc = x - x.mean()
-        slope = float(xc @ (y - y.mean())) / float(xc @ xc)
+        slope = float((xc * (y - y.mean())).sum()) / float((xc * xc).sum())
         if slope > 0.0:
             return 1.0 / slope
     return float(_ratio_rate(lam))

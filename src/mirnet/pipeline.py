@@ -27,7 +27,8 @@ class AnalysisConfig:
     Construction raises ``ValidationError``, naming the field, for a value of
     the wrong type (an int is not a bool, a bare string is not a list; a
     tuple is read as a list), an unknown or repeated method or graph kind, an
-    unknown correlation variant, or a repeated alphabet size or one below 2.
+    unknown correlation variant, a repeated alphabet size or one below 2, no
+    method at all, or no alphabet size while a MIR method is configured.
     """
 
     input_path: str
@@ -41,7 +42,6 @@ class AnalysisConfig:
     weighted_walk: bool = False
     min_length: int = DEFAULT_MIN_LENGTH
     allow_short: bool = False
-    zero_for_degenerate: bool = False
 
     def __post_init__(self):
         for f in fields(self):
@@ -69,6 +69,10 @@ class AnalysisConfig:
                     f"alphabet_sizes: {problem} value {alpha!r}; "
                     "sizes must be distinct and at least 2"
                 )
+        if not self.methods:
+            raise ValidationError(f"methods: empty; allowed values: {distance_mod.METHODS}")
+        if not self.alphabet_sizes and set(self.methods) - {"correlation"}:
+            raise ValidationError("alphabet_sizes: empty, but a MIR method needs one")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2) + "\n"
@@ -114,32 +118,49 @@ def _combo_name(combo: dict) -> str:
     return method if alpha is None else f"{method}_a{alpha}"
 
 
-def _build_distance_matrix(cfg: AnalysisConfig, combo, returns, symbols_by_alpha):
-    """The combination's matrix; symbols are discretized on first use per alpha,
-    so a series too short for an alphabet fails only the MIR combinations."""
+def _combination(cfg: AnalysisConfig, combo: dict, returns) -> tuple[dict, dict, dict]:
+    """One combination's files, centralities and manifest entry.
+
+    A MIR combination discretizes for its own alphabet, so a series too short
+    for that alphabet fails only the combinations that use it. Any exception
+    becomes the error entry, with no files and no centralities."""
     method, alpha = combo["method"], combo["alpha"]
-    if alpha is None:
-        return distance_mod.build_matrix(returns, method, corr_variant=cfg.corr_variant)
-    if alpha not in symbols_by_alpha:
-        symbols_by_alpha[alpha] = [discretize(r, alpha) for r in returns]
-    return distance_mod.build_matrix(
-        symbols_by_alpha[alpha], method, allow_short=cfg.allow_short,
-        min_length=cfg.min_length, zero_for_degenerate=cfg.zero_for_degenerate,
-    )
+    name = _combo_name(combo)
+    try:
+        series = returns if alpha is None else [discretize(r, alpha) for r in returns]
+        matrix = distance_mod.build_matrix(
+            series, method, corr_variant=cfg.corr_variant,
+            allow_short=cfg.allow_short, min_length=cfg.min_length,
+        )
+        texts = {
+            f"{name}_distances.csv": matrix.to_delimited(),
+            f"{name}_distances_report.json": json.dumps(matrix.report(), indent=2) + "\n",
+        }
+        graphs, centralities = {}, {}
+        for kind in cfg.graph_kinds:
+            fg = getattr(graph_mod, f"build_{kind}")(matrix)
+            for fmt, export in graph_mod.EXPORTERS.items():
+                texts[f"{name}_{kind}.{fmt}"] = export(fg)
+            cv = centrality_mod.markov_centrality(fg, weighted=cfg.weighted_walk)
+            centralities[(name, kind)] = cv
+            texts[f"{name}_{kind}_centrality.csv"] = cv.to_delimited()
+            graphs[kind] = {"nodes": fg.n, "edges": len(fg.edges)}
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        return {}, {}, {"status": "error", "error": error, "traceback": traceback.format_exc()}
+    artifacts = {fname: str(Path(cfg.output_dir) / fname) for fname in texts}
+    return texts, centralities, {"status": "ok", "artifacts": artifacts, "graphs": graphs}
 
 
 def run_pipeline(cfg: AnalysisConfig) -> dict:
-    """Run every configured combination and publish its files (``_publish``).
-
-    A failing combination contributes no files; the others still run."""
+    """Load, run each combination (``_combination``), compare (``_comparison``)
+    and publish (``_publish``). A failing combination contributes no files."""
     out_root = Path(cfg.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-
     series = load_price_table(
         cfg.input_path, delimiter=cfg.delimiter, date_column=cfg.date_column
     )
     returns = [log_returns(s) for s in series]
-    symbols_by_alpha: dict[int, list] = {}
 
     manifest: dict = {
         "config": asdict(cfg),
@@ -147,43 +168,17 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
         "combinations": {},
         "comparisons": [],
     }
-    centralities: dict[tuple[str, str], centrality_mod.CentralityVector] = {}
     files: dict[str, str] = {}
-
+    centralities: dict[tuple[str, str], centrality_mod.CentralityVector] = {}
     for combo in cfg.combinations():
-        name = _combo_name(combo)
-        try:
-            matrix = _build_distance_matrix(cfg, combo, returns, symbols_by_alpha)
-            report = json.dumps(matrix.report(), indent=2) + "\n"
-            texts = {
-                f"{name}_distances.csv": matrix.to_delimited(),
-                f"{name}_distances_report.json": report,
-            }
-            graphs, combo_centralities = {}, {}
-            for kind in cfg.graph_kinds:
-                fg = getattr(graph_mod, f"build_{kind}")(matrix)
-                for fmt, export in graph_mod.EXPORTERS.items():
-                    texts[f"{name}_{kind}.{fmt}"] = export(fg)
-                cv = centrality_mod.markov_centrality(fg, weighted=cfg.weighted_walk)
-                combo_centralities[(name, kind)] = cv
-                texts[f"{name}_{kind}_centrality.csv"] = cv.to_delimited()
-                graphs[kind] = {"nodes": fg.n, "edges": len(fg.edges)}
-        except Exception as exc:
-            manifest["combinations"][name] = {
-                "status": "error",
-                "error": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback.format_exc(),
-            }
-            continue
+        texts, combo_centralities, entry = _combination(cfg, combo, returns)
         files.update(texts)
         centralities.update(combo_centralities)
-        manifest["combinations"][name] = {
-            "status": "ok",
-            "artifacts": {fname: str(out_root / fname) for fname in texts},
-            "graphs": graphs,
-        }
+        manifest["combinations"][_combo_name(combo)] = entry
 
-    files.update(_comparison_files(cfg, manifest, centralities))
+    comparison_files, comparison_fields = _comparison(cfg, centralities)
+    files.update(comparison_files)
+    manifest.update(comparison_fields)
     statuses = {e["status"] for e in manifest["combinations"].values()}
     manifest["status"] = (
         "ok" if statuses <= {"ok"} else "partial" if "ok" in statuses else "failed"
@@ -193,18 +188,16 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
     return manifest
 
 
-def _comparison_files(cfg, manifest, centralities) -> dict[str, str]:
+def _comparison(cfg, centralities) -> tuple[dict[str, str], dict]:
     """Correlate each MIR variant's centralities against the correlation
-    network of the same kind, mirroring the published comparison design."""
+    network of the same kind, mirroring the published comparison design: the
+    files, and the manifest's ``comparisons`` or else its ``comparison_note``."""
     mir_names = [
         _combo_name(c) for c in cfg.combinations() if c["method"] != "correlation"
     ]
     if "correlation" not in cfg.methods or not mir_names:
-        manifest["comparison_note"] = (
-            "no comparison report: need both a correlation baseline and at "
-            "least one MIR variant"
-        )
-        return {}
+        return {}, {"comparison_note": "no comparison report: need both a "
+                    "correlation baseline and at least one MIR variant"}
     rows = [
         {"kind": kind, "variant": name}
         | centrality_mod.compare_centralities(
@@ -215,9 +208,7 @@ def _comparison_files(cfg, manifest, centralities) -> dict[str, str]:
         if ("correlation", kind) in centralities and (name, kind) in centralities
     ]
     if not rows:
-        manifest["comparison_note"] = "no comparison report: no complete pairs"
-        return {}
-    manifest["comparisons"] = rows
+        return {}, {"comparison_note": "no comparison report: no complete pairs"}
 
     # combined centrality table: vertex label + one column per network variant
     names = sorted(centralities, key=lambda k: (k[1], k[0]))
@@ -228,7 +219,8 @@ def _comparison_files(cfg, manifest, centralities) -> dict[str, str]:
         row = [t] + [f"{centralities[key].normalized()[i]:.6f}" for key in names]
         lines.append(",".join(row))
     table = "\n".join(lines) + "\n"
-    return dict(zip(COMPARISON_FILES, (table, json.dumps(rows, indent=2) + "\n")))
+    files = dict(zip(COMPARISON_FILES, (table, json.dumps(rows, indent=2) + "\n")))
+    return files, {"comparisons": rows}
 
 
 def _publish(out_root: Path, files: dict[str, str]) -> None:

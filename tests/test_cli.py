@@ -135,6 +135,27 @@ def test_run_rejects_unknown_config_field(price_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("zero_for_degenerate", True, "unknown config fields: ['zero_for_degenerate']"),
+        ("methods", [], "methods: empty"),
+    ],
+    ids=["removed-field", "empty-methods"],
+)
+def test_run_refuses_removed_field_and_empty_methods(
+    field, value, message, price_file, tmp_path, capsys
+):
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"input_path": str(price_file),
+                                    "output_dir": str(out), field: value}))
+    code = cli.main(["run", "--config", str(cfg_path)])
+    assert code == cli.EXIT_INPUT
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "field, value",
     [
         ("alphabet_sizes", ["4"]),

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,6 +335,32 @@ class TestOneRatePass:
             mutual_lz(rng.integers(0, 4, m), rng.integers(0, 4, m))
             assert len(shapes) == calls
             assert sum(shape[0] for shape in shapes) == 3
+
+
+# slope estimates whose last bits differed between one and two OpenBLAS
+# threads while the fit took BLAS dot products
+SLOPE_PROBE = """if True:
+    import numpy as np
+    from mirnet import lz
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        x, y = rng.integers(0, 4, 100_000), rng.integers(0, 4, 100_000)
+        print(repr(lz.entropy_rate(x).value), repr(lz.joint_entropy_rate(x, y).value))
+"""
+
+
+def test_slope_bits_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(lz.__file__).resolve().parents[1])
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", SLOPE_PROBE], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        printed.append(result.stdout)
+    assert printed[0] == printed[1]
 
 
 SHORT = [

@@ -7,10 +7,13 @@ from dataclasses import asdict
 from pathlib import Path
 
 import networkx as nx
+import numpy as np
 import pytest
 
 import mirnet
+from mirnet.distance import DistanceMatrix, build_matrix
 from mirnet.errors import ValidationError
+from mirnet.ingest import discretize, load_price_table, log_returns
 from mirnet.pipeline import AnalysisConfig, run_pipeline
 from mirnet.synth import SynthSpec, generate_price_table
 
@@ -118,7 +121,6 @@ class TestConfig:
             ("min_length", False),
             ("weighted_walk", "no"),
             ("allow_short", 1),
-            ("zero_for_degenerate", None),
             ("input_path", None),
             ("delimiter", 9),
         ],
@@ -127,6 +129,26 @@ class TestConfig:
         values = {"input_path": "in.csv", "output_dir": "out", field: value}
         with pytest.raises(ValidationError, match=rf"^{field}: expected "):
             AnalysisConfig(**values)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"methods": []}, "methods: empty"),
+            ({"alphabet_sizes": []}, "alphabet_sizes: empty, but a MIR method needs one"),
+            ({"methods": ["mir_prime", "correlation"], "alphabet_sizes": []},
+             "alphabet_sizes: empty, but a MIR method needs one"),
+        ],
+        ids=["methods", "alphabet_sizes-mir", "alphabet_sizes-mir_prime"],
+    )
+    def test_empty_lists_that_would_run_nothing_rejected(self, values, message):
+        with pytest.raises(ValidationError) as exc:
+            AnalysisConfig(input_path="in.csv", output_dir="out", **values)
+        assert str(exc.value).startswith(message)
+
+    def test_correlation_needs_no_alphabet(self):
+        cfg = AnalysisConfig(input_path="in.csv", output_dir="out",
+                             methods=["correlation"], alphabet_sizes=[])
+        assert cfg.combinations() == [{"method": "correlation", "alpha": None}]
 
     def test_tuple_fields_read_as_lists(self):
         cfg = AnalysisConfig(
@@ -196,6 +218,25 @@ class TestRunPipeline:
         assert json.dumps(m1, sort_keys=True) == json.dumps(m2, sort_keys=True)
         for name in ("mir_a4_distances.csv", "correlation_mst.dot", "centrality_table.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_mir_and_mir_prime_at_one_alphabet(self, price_file, tmp_path):
+        out = tmp_path / "out"
+        cfg = small_config(price_file, out, methods=["correlation", "mir", "mir_prime"])
+        manifest = run_pipeline(cfg)
+        assert manifest["status"] == "ok"
+        assert list(manifest["combinations"]) == ["correlation", "mir_a4", "mir_prime_a4"]
+        symbols = [discretize(log_returns(s), 4) for s in load_price_table(price_file)]
+        values = {}
+        for method in ("mir", "mir_prime"):
+            for path in manifest["combinations"][f"{method}_a4"]["artifacts"].values():
+                assert Path(path).is_file()
+            text = (out / f"{method}_a4_distances.csv").read_text()
+            values[method] = DistanceMatrix.from_delimited(text).values
+            assert np.array_equal(values[method], build_matrix(symbols, method).values)
+        assert (values["mir_prime"] <= values["mir"]).all()
+        rows = [(row["kind"], row["variant"]) for row in manifest["comparisons"]]
+        assert sorted(rows) == [(kind, variant) for kind in ("mst", "pmfg")
+                                for variant in ("mir_a4", "mir_prime_a4")]
 
     def test_single_method_notes_missing_comparison(self, price_file, tmp_path):
         cfg = small_config(price_file, tmp_path / "out", methods=["correlation"])

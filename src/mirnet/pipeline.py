@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import sys
 import tempfile
 import traceback
+import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -152,9 +155,62 @@ def _combination(cfg: AnalysisConfig, combo: dict, returns) -> tuple[dict, dict,
     return texts, centralities, {"status": "ok", "artifacts": artifacts, "graphs": graphs}
 
 
+def _combination_results(cfg: AnalysisConfig, combos: list[dict], returns) -> list:
+    """``_combination`` of each of ``combos``, in that order.
+
+    With more than one combination, more than one usable CPU and the ``fork``
+    start method, they run in a pool of min(combinations, CPUs) forked
+    workers, MIR first as the longest; otherwise, and in a daemonic process
+    (which may not start processes), one after another here."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(combos), cpus)
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            fork = multiprocessing.get_context("fork")
+            longest_first = sorted(
+                range(len(combos)), key=lambda i: combos[i]["method"] == "correlation"
+            )
+            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+                futures = {i: pool.submit(_recorded_combination, cfg, combos[i], returns)
+                           for i in longest_first}
+                recorded = [futures[i].result() for i in range(len(combos))]
+            for _, caught in recorded:
+                _reissue(caught)
+            return [result for result, _ in recorded]
+    return [_combination(cfg, combo, returns) for combo in combos]
+
+
+def _recorded_combination(cfg: AnalysisConfig, combo: dict, returns) -> tuple:
+    """``_combination`` in a worker, and the warnings that passed the filters
+    the worker inherited (a warning they turn into an error fails the
+    combination here, as in the calling process)."""
+    with warnings.catch_warnings(record=True) as caught:
+        result = _combination(cfg, combo, returns)
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _reissue(caught: list[tuple]) -> None:
+    """Issue a worker's warnings again here, on behalf of the module whose
+    line raised them, so that this process's filters and once-per-line
+    registries treat them as they would a serial run's."""
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in caught:
+        module = modules.get(filename)
+        warnings.warn_explicit(
+            message, category, filename, lineno,
+            module=getattr(module, "__name__", None),
+            registry=vars(module).setdefault("__warningregistry__", {}) if module else None,
+        )
+
+
 def run_pipeline(cfg: AnalysisConfig) -> dict:
-    """Load, run each combination (``_combination``), compare (``_comparison``)
-    and publish (``_publish``). A failing combination contributes no files."""
+    """Load, run each combination (``_combination_results``), compare
+    (``_comparison``) and publish (``_publish``). A failing combination
+    contributes no files."""
     out_root = Path(cfg.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     series = load_price_table(
@@ -170,8 +226,10 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
     }
     files: dict[str, str] = {}
     centralities: dict[tuple[str, str], centrality_mod.CentralityVector] = {}
-    for combo in cfg.combinations():
-        texts, combo_centralities, entry = _combination(cfg, combo, returns)
+    combos = cfg.combinations()
+    for combo, (texts, combo_centralities, entry) in zip(
+        combos, _combination_results(cfg, combos, returns)
+    ):
         files.update(texts)
         centralities.update(combo_centralities)
         manifest["combinations"][_combo_name(combo)] = entry

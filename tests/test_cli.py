@@ -5,12 +5,13 @@ same code path as the console script while keeping stdout/stderr capturable.
 """
 
 import json
+import os
 import warnings
 
 import numpy as np
 import pytest
 
-from mirnet import cli, lz
+from mirnet import cli, lz, pipeline
 from mirnet.ingest import discretize, load_price_table, log_returns
 from mirnet.synth import SynthSpec, generate_price_table
 
@@ -82,6 +83,27 @@ def test_run_where_every_combination_fails_exits_four(tmp_path, capsys):
     )
     assert code == cli.EXIT_FAILED == 4
     assert json.loads(capsys.readouterr().out)["status"] == "failed"
+
+
+def test_run_with_a_killed_worker_exits_three_and_publishes_nothing(
+    price_file, tmp_path, monkeypatch, capsys
+):
+    # two usable CPUs fork a worker per combination; the MIR one dies
+    combination = pipeline._combination
+
+    def dies_on_mir(cfg, combo, returns):
+        if combo["method"] == "mir":
+            os._exit(1)
+        return combination(cfg, combo, returns)
+
+    monkeypatch.setattr(pipeline, "_combination", dies_on_mir)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out = tmp_path / "out"
+    code = cli.main(["run", "--input", str(price_file), "--output-dir", str(out),
+                     "--alphabet-sizes", "4"])
+    assert code == cli.EXIT_INTERNAL == 3
+    assert "internal error: BrokenProcessPool" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_run_missing_input_exits_one(tmp_path, capsys):

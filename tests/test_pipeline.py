@@ -1,8 +1,10 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import mirnet
+from mirnet import pipeline
 from mirnet.distance import DistanceMatrix, build_matrix
 from mirnet.errors import ValidationError
 from mirnet.ingest import discretize, load_price_table, log_returns
@@ -52,6 +55,14 @@ class TestRuntimeDependencies:
     def test_import_leaves_out_networkx(self, tmp_path):
         result = run_python("import sys, mirnet; print('networkx' in sys.modules)", tmp_path)
         assert result.stdout.strip() == "False", result.stderr
+
+    def test_import_leaves_out_the_process_pool(self, tmp_path):
+        # the pool's modules are imported only when a run forks workers
+        code = ("import sys, mirnet; "
+                "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+                "if m in sys.modules])")
+        result = run_python(code, tmp_path)
+        assert result.stdout.strip() == "[]", result.stderr
 
     def test_pipeline_and_export_run_without_networkx(self, price_file, tmp_path):
         # a None entry in sys.modules makes every import of networkx fail
@@ -368,3 +379,138 @@ class TestPublish:
             run_pipeline(small_config(other, out))
         assert written[-1] == name
         assert snapshot(out) == before
+
+
+def on_cpus(monkeypatch, cpus: int) -> None:
+    """Make ``cpus`` CPUs usable for the runs that follow: one keeps a run
+    serial, more let it fork workers, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def table(directory: Path, n_instruments: int, n_rows: int) -> Path:
+    path = directory / f"prices_{n_instruments}x{n_rows}.csv"
+    spec = SynthSpec(mode="factor", n_instruments=n_instruments, n_rows=n_rows, seed=4)
+    path.write_text(generate_price_table(spec))
+    return path
+
+
+def caught_warnings(cfg: AnalysisConfig, action: str) -> tuple[dict, list[tuple]]:
+    """The manifest of a run under the filter ``action``, and the warnings
+    that reached the caller: (category, text, file, line)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        manifest = run_pipeline(cfg)
+    return manifest, [
+        (w.category, str(w.message), w.filename, w.lineno) for w in caught
+    ]
+
+
+class TestCombinationPool:
+    """With more than one usable CPU and combination, the combinations run in
+    forked workers; with one CPU the same run stays in the calling process."""
+
+    @pytest.mark.parametrize("shape, status", [
+        ((8, 700), "ok"),
+        # 5 returns fill 4 bins but not 10: mir_a10 fails inside its worker
+        ((4, 6), "partial"),
+    ])
+    def test_pool_and_serial_runs_write_the_same_bytes(
+        self, tmp_path, monkeypatch, shape, status
+    ):
+        out = tmp_path / "out"
+        cfg = small_config(table(tmp_path, *shape), out, alphabet_sizes=[4, 10],
+                           allow_short=True)
+        runs = []
+        for cpus in (3, 1):
+            on_cpus(monkeypatch, cpus)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                manifest = run_pipeline(cfg)
+            assert manifest["status"] == status
+            runs.append(snapshot(out))
+        assert runs[0] == runs[1]
+        assert len(runs[0]) > 20
+
+    def test_worker_warnings_reach_the_caller(self, tmp_path, monkeypatch):
+        # 119 returns: 12 bins exceed their square root, and both MIR
+        # combinations estimate below the minimum length
+        cfg = small_config(table(tmp_path, 5, 120), tmp_path / "out",
+                           alphabet_sizes=[4, 12], allow_short=True)
+        on_cpus(monkeypatch, 1)
+        _, serial = caught_warnings(cfg, "default")
+        on_cpus(monkeypatch, 3)
+        _, pooled = caught_warnings(cfg, "default")
+        # the short-series warning comes from one line, so the second MIR
+        # combination's is suppressed in both runs
+        assert len(serial) == 6
+        assert pooled == serial
+
+    def test_error_filter_fails_the_combination_in_its_worker(self, tmp_path, monkeypatch):
+        cfg = small_config(table(tmp_path, 5, 120), tmp_path / "out",
+                           alphabet_sizes=[4, 12], allow_short=True)
+        on_cpus(monkeypatch, 3)
+        pooled, caught = caught_warnings(cfg, "error")
+        on_cpus(monkeypatch, 1)
+        serial, _ = caught_warnings(cfg, "error")
+        assert caught == []
+        assert pooled == serial and pooled["status"] == "partial"
+        for name in ("mir_a4", "mir_a12"):
+            entry = pooled["combinations"][name]
+            assert entry["error"].startswith("UserWarning")
+            assert "warnings.warn(" in entry["traceback"]
+
+    @pytest.mark.parametrize("cpus, methods, fork, pooled", [
+        (3, ["correlation", "mir"], True, True),
+        (1, ["correlation", "mir"], True, False),
+        (3, ["mir"], True, False),
+        (3, ["correlation", "mir"], False, False),
+    ])
+    def test_workers_only_with_cpus_combinations_and_fork(
+        self, price_file, tmp_path, monkeypatch, cpus, methods, fork, pooled
+    ):
+        combination = pipeline._combination
+
+        def with_pid(cfg, combo, returns):
+            texts, centralities, entry = combination(cfg, combo, returns)
+            return texts, centralities, entry | {"pid": os.getpid()}
+
+        monkeypatch.setattr(pipeline, "_combination", with_pid)
+        if not fork:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        on_cpus(monkeypatch, cpus)
+        manifest = run_pipeline(small_config(price_file, tmp_path / "out", methods=methods))
+        assert manifest["status"] == "ok"
+        pids = [entry["pid"] for entry in manifest["combinations"].values()]
+        assert {pid == os.getpid() for pid in pids} == {not pooled}
+        assert multiprocessing.active_children() == []
+
+    def test_daemonic_process_runs_serially(self, price_file, tmp_path, monkeypatch):
+        # a daemonic process, such as a multiprocessing.Pool worker, may not
+        # start processes of its own
+        on_cpus(monkeypatch, 3)
+        out = tmp_path / "out"
+        process = multiprocessing.get_context("fork").Process(
+            target=run_pipeline, args=(small_config(price_file, out),), daemon=True
+        )
+        process.start()
+        process.join(timeout=120)
+        assert process.exitcode == 0
+        assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
+
+    def test_killed_worker_publishes_nothing_and_leaves_no_worker(
+        self, price_file, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        combination = pipeline._combination
+
+        def dies_on_mir(cfg, combo, returns):
+            if combo["method"] == "mir":
+                os._exit(1)
+            return combination(cfg, combo, returns)
+
+        monkeypatch.setattr(pipeline, "_combination", dies_on_mir)
+        on_cpus(monkeypatch, 3)
+        with pytest.raises(BrokenProcessPool):
+            run_pipeline(small_config(price_file, out))
+        assert multiprocessing.active_children() == []
+        assert list(out.iterdir()) == []

@@ -68,22 +68,25 @@ def mean_first_passage(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
     M = np.zeros((n, n), dtype=float)
-    system = np.eye(n) - P
+    # Fortran order, so getrf factorizes each copy in place
+    system = np.asfortranarray(np.eye(n) - P)
     for v in range(n):
-        a = system.copy()
+        a = system.copy(order="F")
         a[v, :] = 0.0
         a[v, v] = 1.0
         b = np.ones((n, 1))
         b[v] = 0.0
-        lu, piv, info = lapack.dgetrf(a)
+        # the 1-norm for gecon, taken before getrf overwrites a
+        anorm = np.abs(a).sum(axis=0).max()
+        lu, piv, info = lapack.dgetrf(a, overwrite_a=1)
         # info > 0 is an exactly zero pivot; gecon needs a nonsingular LU
-        rcond = 0.0 if info else lapack.dgecon(lu, np.abs(a).sum(axis=0).max())[0]
+        rcond = 0.0 if info else lapack.dgecon(lu, anorm)[0]
         if not rcond > MIN_RCOND:
             raise np.linalg.LinAlgError(
                 f"first-passage system for target {v} is ill-conditioned "
                 f"(reciprocal condition number {rcond:.3g})"
             )
-        M[:, v] = lapack.dgetrs(lu, piv, b)[0][:, 0]
+        M[:, v] = lapack.dgetrs(lu, piv, b, overwrite_b=1)[0][:, 0]
     return M
 
 

@@ -40,17 +40,21 @@ pointwise at most the component ones; the slope has no such guarantee.
 equal-length rows in one set of numpy calls; ``pair_rates`` hands it its rows
 in chunks. Per row it takes three steps:
 
-1. Ranks and suffix array, by prefix doubling (Manber & Myers, SIAM J.
-   Comput. 1993): each level sorts the int64 key (rank, rank 2**k further on)
-   row-wise, and every level's ranks are kept.
+1. Labels and suffix array, by prefix doubling (Manber & Myers, SIAM J.
+   Comput. 1993). The first levels pack the 2**k symbols after each position
+   into one int64 label by shifts and ORs, with no sort, while the label
+   fits in 63 bits. The last packed level is sorted once into dense ranks,
+   and each further level sorts the key (rank, rank 2**k further on)
+   row-wise, in int32 while n * (n + 2) < 2**31. Every level is kept.
 2. The longest previous factor (Crochemore & Ilie, IPL 2008): the longest
    match of the suffix at t with an earlier suffix is found at one of the two
    suffixes nearest to it in suffix-array order among those starting before
-   t. Both are found by binary lifting over a sparse table of suffix-array
+   t. For about half the suffixes that is the next suffix in that order; the
+   rest are found by binary lifting over a sparse table of suffix-array
    minima.
 3. The longest common prefix with each of those two, by binary lifting over
-   the kept rank levels: equal ranks at level k mean equal substrings of
-   length 2**k.
+   the kept levels: equal labels or ranks at level k mean equal substrings
+   of length 2**k.
 
 Steps 1 and 3 take about log2 of the longest repeat in the batch passes over
 it, step 2 about log2(n), so the per-call cost of numpy is paid once per batch
@@ -75,9 +79,13 @@ DEFAULT_ESTIMATOR = "slope"
 OVERSHOOT_FRACTION = 0.10
 
 # symbols per match-length call of ``pair_rates``: enough rows to spread
-# numpy's per-call overhead; the kernel holds about 200 bytes a symbol, and
-# batches past 2**15 symbols ran slower at 2.5k-symbol rows, not faster
+# numpy's per-call overhead. At 2.5k-symbol rows the kernel peaks at about
+# 135 bytes a symbol, 2**13 ran about 10% slower and 2**15 no faster
 JOINT_SYMBOL_BUDGET = 1 << 14
+
+# rank levels and sort keys of rows of n symbols are int32 when every key,
+# below n * (n + 2), stays under this bound, and int64 otherwise
+_INT32_KEYS_BELOW = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -98,30 +106,45 @@ class LzEstimate:
 def _padded(rows: np.ndarray, front: int) -> np.ndarray:
     """Rows laid end to end with one -1 after each and ``front`` -1s before."""
     b, n = rows.shape
-    flat = np.full(front + b * (n + 1), -1, dtype=np.int64)
+    flat = np.full(front + b * (n + 1), -1, dtype=rows.dtype)
     flat[front:].reshape(b, n + 1)[:, :n] = rows
     return flat
 
 
 def _rank_levels(rows: np.ndarray) -> list[np.ndarray]:
-    """Prefix-doubling ranks of every suffix, one array per level, row-wise.
+    """Labels of every suffix's prefixes, one array per level, row-wise.
 
-    Level k ranks the substrings of length 2**k starting at each position (cut
-    at the end of the row), so two positions share a rank at level k exactly
-    when those substrings are equal. Level 0 ranks the symbols themselves, so
-    any int64 symbols are fine. Doubling stops at the first level whose ranks
-    are all distinct; every longest common prefix is then shorter than 2**k.
+    Level k labels the substrings of length 2**k starting at each position
+    (cut at the end of the row): two positions share a label exactly when
+    those substrings are equal, and labels order as the substrings do, a cut
+    substring first. Packed levels hold each symbol + 1 in a field of fixed
+    width, 0 past the end; symbols outside [0, n) are first replaced by
+    their rank among the batch's symbols, so any int64 symbols are fine.
+    The last packed level is sorted into dense ranks, and doubling goes on
+    until a level's ranks are all distinct; every longest common prefix is
+    then shorter than 2**k.
     """
     b, n = rows.shape
+    if rows.min() < 0 or rows.max() >= n:
+        rows = np.unique(rows, return_inverse=True)[1].reshape(b, n)
+    width = int(rows.max() + 1).bit_length()
+    levels = [rows + 1]
+    # level k packs 2**k fields of ``width`` bits; the sign bit stays clear
+    while width << len(levels) <= 63:
+        h = 1 << (len(levels) - 1)
+        label = levels[-1] << (width * h)
+        label[:, :-h] |= levels[-1][:, h:]
+        levels.append(label)
+    # keys below n * (n + 2): rank * (n + 1) plus the next rank + 1
+    dtype = np.int32 if n * (n + 2) < _INT32_KEYS_BELOW else np.int64
     row_start = n * np.arange(b)[:, None]
-    levels = []
-    key = rows
+    key = levels.pop()
     while True:
         order = (np.argsort(key, axis=1) + row_start).ravel()
         sorted_key = key.ravel()[order].reshape(b, n)
-        dense = np.zeros((b, n), dtype=np.int64)
+        dense = np.zeros((b, n), dtype=dtype)
         np.cumsum(sorted_key[:, 1:] != sorted_key[:, :-1], axis=1, out=dense[:, 1:])
-        rank = np.empty((b, n), dtype=np.int64)
+        rank = np.empty((b, n), dtype=dtype)
         rank.ravel()[order] = dense.ravel()
         levels.append(rank)
         if (dense[:, -1] == n - 1).all():
@@ -138,36 +161,43 @@ def _nearest_smaller(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``rank`` holds each suffix's suffix-array index r, all distinct in a row.
     For the suffix at position p, returns the position of the suffix at the
     closest index below r, and at the closest above r, that starts before p,
-    or -1 where there is none; both flattened row by row. Found by binary
-    lifting over a sparse table of suffix-array minima: a block of indices is
-    skipped while every suffix in it starts after p.
+    or -1 where there is none; both flattened row by row. The neighbour at
+    r - 1 (r + 1) is the answer for about half the suffixes; the rest are
+    found by binary lifting over a sparse table of suffix-array minima: a
+    block of indices is skipped while every suffix in it starts after p. The
+    table holds positions in ``rank``'s dtype, so int32 ranks halve its
+    gathers.
     """
     b, n = rank.shape
     levels = n.bit_length()
     front = 1 << (levels - 1)
     sa = np.empty_like(rank)
-    np.put_along_axis(sa, rank, np.arange(n), axis=1)
+    np.put_along_axis(sa, rank, np.arange(n, dtype=rank.dtype), axis=1)
     # table[k, i] = min of the SA over flat indices i .. i + 2**k - 1; the -1
     # pads around each row stop any block that leaves it, and ``front`` of
     # them keep the blocks that end in row 0 inside the array
     flat = _padded(sa, front)
-    table = np.full((levels, flat.size), -1, dtype=np.int64)
+    table = np.full((levels, flat.size), -1, dtype=rank.dtype)
     table[0] = flat
     for k in range(1, levels):
         h = 1 << (k - 1)
         np.minimum(table[k - 1, :-h], table[k - 1, h:], out=table[k, :-h])
     # indices from here on count from the pad before row 0
     r = (rank + 1 + (n + 1) * np.arange(b)[:, None]).ravel()
-    p = np.broadcast_to(np.arange(n), (b, n)).ravel()
-    before, after = r - 1, r + 1
-    for k in reversed(range(levels)):
-        step = 1 << k
-        ending_at = table[k, front - step :]
-        starting_at = table[k, front - 1 :]
-        before -= (ending_at[before] > p) * step
-        after += (starting_at[after] > p) * step
+    p = np.broadcast_to(np.arange(n, dtype=rank.dtype), (b, n)).ravel()
     positions = table[0, front - 1 :]
-    return positions[before], positions[after]
+    nearest = []
+    for side in (-1, 1):
+        found = positions[r + side]
+        far = np.flatnonzero(found > p)
+        q, x = p[far], r[far] + 2 * side
+        for k in reversed(range(levels)):
+            step = 1 << k
+            block = table[k, front - step :] if side < 0 else table[k, front - 1 :]
+            x += (block[x] > q) * (side * step)
+        found[far] = positions[x]
+        nearest.append(found)
+    return nearest[0], nearest[1]
 
 
 def _common_prefix(levels: list[np.ndarray], i: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -56,8 +56,15 @@ class TestMatchLengths:
             assert match_lengths(seq).tolist() == brute_match_lengths(seq)
 
 
-# symbols as large as 1e9, drawn from a small pool so that rows repeat
-SYMBOL_POOLS = st.lists(st.integers(0, 10**9), min_size=1, max_size=4)
+# symbols anywhere in int64, the extremes included, drawn from a small pool
+# so that rows repeat
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+SYMBOLS = st.one_of(
+    st.integers(0, 10**9),
+    st.integers(INT64_MIN, INT64_MAX),
+    st.sampled_from([INT64_MIN, -1, INT64_MAX]),
+)
+SYMBOL_POOLS = st.lists(SYMBOLS, min_size=1, max_size=4)
 
 
 @st.composite
@@ -97,6 +104,34 @@ class TestBatchedMatchLengths:
         k = data.draw(st.integers(0, len(rows) - 1))
         batch = match_lengths(np.array(rows, dtype=np.int64))
         assert match_lengths(rows[k]).tolist() == batch[k].tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(symbol_batches())
+    def test_int64_keys_match_the_oracle(self, rows):
+        # the int64 ranks and keys that rows past about 46k symbols take
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lz, "_INT32_KEYS_BELOW", 0)
+            batch = np.array(rows, dtype=np.int64)
+            assert lz._rank_levels(batch)[-1].dtype == np.int64
+            lam = match_lengths(batch)
+        for row, got in zip(rows, lam):
+            assert got.tolist() == brute_match_lengths(row)
+
+    def test_long_repeats_cross_from_packed_to_sorted_levels(self):
+        # 1-bit labels pack up to 32 symbols, so repeats of 300 need sorted
+        # levels on top of the packed ones
+        n = 300
+        rows = np.array([
+            np.zeros(n, dtype=np.int64),
+            np.tile([0, 1], n // 2),
+            np.tile([2, 0, 1], n // 3),
+            np.r_[np.tile([1, 0, 0], n // 3 - 1), [1, 1, 0]],
+        ])
+        levels = lz._rank_levels(rows)
+        assert levels[0].dtype == np.int64 and levels[-1].dtype == np.int32
+        assert 1 << (len(levels) - 1) >= n
+        for row, got in zip(rows, match_lengths(rows)):
+            assert got.tolist() == brute_match_lengths(row)
 
 
 class TestEntropyRate:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import sys
 import tempfile
@@ -162,8 +161,7 @@ def _combination_results(cfg: AnalysisConfig, combos: list[dict], returns) -> li
     start method, they run in a pool of min(combinations, CPUs) forked
     workers, MIR first as the longest; otherwise, and in a daemonic process
     (which may not start processes), one after another here."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(combos), cpus)
+    workers = min(len(combos), centrality_mod.usable_cpus())
     if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mirnet
+from mirnet import centrality
 from mirnet.centrality import (
     CentralityVector,
     compare_centralities,
@@ -137,7 +138,9 @@ class TestMeanFirstPassage:
             simulated = monte_carlo_passage_time(P, start, target, walks=200_000, seed=seed)
             assert simulated == pytest.approx(M[start, target], rel=0.01)
 
-    # the oracle's SVDs make n = 250 cost several seconds, so one graph has it
+    # the oracle's SVDs make n = 250 cost several seconds, so one graph has it,
+    # and each oracle is checked against one block and, on the graphs of
+    # THREADED_MIN_NODES or more, several
     @pytest.mark.parametrize(
         "make, weighted",
         [
@@ -152,10 +155,13 @@ class TestMeanFirstPassage:
         ids=["mst12", "mst120", "mst250-weighted", "pmfg30", "pmfg30-weighted",
              "planar120", "planar120-weighted"],
     )
-    def test_bit_identical_to_svd_checked_solves(self, make, weighted):
+    def test_bit_identical_to_svd_checked_solves(self, make, weighted, monkeypatch):
         g = make()
         P = transition_matrix(g, weighted=weighted)
-        assert np.array_equal(mean_first_passage(P), svd_checked_first_passage(P))
+        expected = svd_checked_first_passage(P)
+        for blocks in (1, 2, 3):
+            monkeypatch.setattr(centrality, "free_cpus", lambda: blocks)
+            assert np.array_equal(mean_first_passage(P), expected), blocks
 
     def test_two_disjoint_edges_rejected(self):
         # every node has a neighbour, so the walk is defined, but no walk
@@ -164,6 +170,51 @@ class TestMeanFirstPassage:
         P = transition_matrix(g)
         with pytest.raises(np.linalg.LinAlgError, match="target 0"):
             mean_first_passage(P)
+
+    @pytest.mark.parametrize("blocks", [2, 4])
+    def test_lowest_ill_conditioned_target_named_across_blocks(self, blocks, monkeypatch):
+        # two paths, long enough to be split: every target is ill-conditioned,
+        # in every block, and the later blocks may fail first
+        n = 2 * centrality.THREADED_MIN_NODES
+        nodes = [f"N{i:03d}" for i in range(n)]
+        edges = [(nodes[i], nodes[i + 1], 0.5) for i in range(n - 1) if i != n // 2 - 1]
+        P = transition_matrix(graph_from_edges(nodes, edges))
+        monkeypatch.setattr(centrality, "free_cpus", lambda: blocks)
+        with pytest.raises(np.linalg.LinAlgError, match="target 0 "):
+            mean_first_passage(P)
+
+
+class TestFreeCpus:
+    """Usable CPUs over the BLAS thread count, read as OpenBLAS reads it."""
+
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        for var in centrality.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+
+    @pytest.mark.parametrize(
+        "env, expected",
+        [
+            ({}, 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+            ({"GOTO_NUM_THREADS": "1"}, 4),
+            ({"OMP_NUM_THREADS": "2"}, 2),
+            ({"OMP_NUM_THREADS": "3"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "two"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
+            ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4),
+            ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 4),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+        ],
+    )
+    def test_rule(self, env, expected, monkeypatch):
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert centrality.free_cpus() == expected
+        assert centrality.usable_cpus() == 4
 
 
 class TestMarkovCentrality:

@@ -389,6 +389,14 @@ class TestDistanceMatrix:
         assert back.tickers == m.tickers and back.method == "imported"
         assert np.array_equal(back.values, m.values)
 
+    def test_each_cell_is_its_own_entry_repr(self):
+        # the symmetry check lets a zero and its mirror differ in sign
+        values = np.array([[0.0, -0.0, 0.25], [0.0, -0.0, 1.5], [0.25, 1.5, 0.0]])
+        m = DistanceMatrix(("A", "B", "C"), "imported", values)
+        assert m.to_delimited().splitlines()[1:] == [
+            "A,0.0,-0.0,0.25", "B,0.0,-0.0,1.5", "C,0.25,1.5,0.0"
+        ]
+
     def test_pair_count_is_derived(self):
         text = ",A,B,C,D\nA,0,1,2,3\nB,1,0,4,5\nC,2,4,0,6\nD,3,5,6,0\n"
         m = DistanceMatrix.from_delimited(text)

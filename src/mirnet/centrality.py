@@ -20,10 +20,13 @@ MIN_RCOND = 1e-12
 # the first positive integer among them, every usable CPU when none is set
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-# below this many nodes a second solve thread costs more than it saves: with
-# one BLAS thread on 2 cores, two blocks took 1.2-1.9x the time of one at
-# n = 40-48, 0.8-0.9x at n = 56-72 and 0.5x at n = 250
-THREADED_MIN_NODES = 64
+# fewer targets than this per thread cost more than they save: with one BLAS
+# thread on 2 cores, two blocks took 1.2-1.9x the time of one at n = 40-48,
+# 0.8-0.9x at n = 56-72 and 0.5x at n = 250
+MIN_TARGETS_PER_THREAD = 32
+
+# processes that share the usable CPUs for their solves (``share_cpus``)
+_cpu_sharers = 1
 
 
 @dataclass
@@ -71,20 +74,29 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def free_cpus() -> int:
-    """Usable CPUs divided by the BLAS thread count, at least 1.
+def share_cpus(processes: int) -> None:
+    """Give this process's solves 1/``processes`` of the usable CPUs, as each
+    of ``processes`` pool workers should."""
+    global _cpu_sharers
+    _cpu_sharers = processes
 
-    The thread count is the first positive integer among ``BLAS_THREAD_VARS``;
-    with none set, BLAS takes every usable CPU and this returns 1.
+
+def free_cpus() -> int:
+    """CPUs for this process's first-passage solves: its share of the usable
+    CPUs when BLAS runs one thread, else 1.
+
+    The BLAS thread count is the first positive integer among
+    ``BLAS_THREAD_VARS``; with none set, BLAS takes every usable CPU. Only
+    one BLAS thread was measured to gain from threads over the targets;
+    unpinned, concurrent threaded getrf calls made the solves 2x slower.
     """
-    cpus = usable_cpus()
     for var in BLAS_THREAD_VARS:
         try:
             threads = int(os.environ.get(var, ""))
         except ValueError:
             continue
         if threads > 0:
-            return max(1, cpus // threads)
+            return max(1, usable_cpus() // _cpu_sharers) if threads == 1 else 1
     return 1
 
 
@@ -98,8 +110,8 @@ def mean_first_passage(P: np.ndarray) -> np.ndarray:
     ``MIN_RCOND``, as a walk that cannot reach the target gives, raises
     ``LinAlgError`` naming the lowest such target.
 
-    From ``THREADED_MIN_NODES`` nodes on, the targets are split into
-    contiguous blocks over min(n, ``free_cpus()``) threads (the LAPACK calls
+    The targets are split into contiguous blocks over ``free_cpus()`` threads,
+    with at least ``MIN_TARGETS_PER_THREAD`` targets each (the LAPACK calls
     release the GIL); each column gets the same calls, and so the same bits,
     whatever the block count.
     """
@@ -133,7 +145,7 @@ def mean_first_passage(P: np.ndarray) -> np.ndarray:
             M[:, v] = lapack.dgetrs(lu, piv, b, overwrite_b=1)[0][:, 0]
         return None
 
-    threads = min(n, free_cpus()) if n >= THREADED_MIN_NODES else 1
+    threads = max(1, min(free_cpus(), n // MIN_TARGETS_PER_THREAD))
     blocks = np.array_split(np.arange(n), threads)
     if len(blocks) == 1:
         failures = [solve(blocks[0])]

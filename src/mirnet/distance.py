@@ -111,19 +111,10 @@ class DistanceMatrix:
 
     def to_delimited(self, delimiter: str = ",") -> str:
         """Matrix as delimited text with tickers on both axes; each value is
-        written as its ``repr``, so ``from_delimited`` reads back the same bits.
-
-        The values are symmetric (checked on construction), so each pair's
-        ``repr`` is taken once, in the upper triangle, and written twice."""
-        rows = self.values.tolist()
-        upper = [list(map(repr, row[i:])) for i, row in enumerate(rows)]
-        cells = [[upper[j][i - j] for j in range(i)] + upper[i] for i in range(self.n)]
-        # the symmetry check lets a zero and its mirror differ in sign
-        signs = np.signbit(self.values)
-        for i, j in np.argwhere(signs != signs.T):
-            cells[i][j] = repr(rows[i][j])
+        written as its ``repr``, so ``from_delimited`` reads back the same bits."""
         lines = [delimiter.join(["", *self.tickers])]
-        lines += [delimiter.join([t, *row]) for t, row in zip(self.tickers, cells)]
+        for t, row in zip(self.tickers, self.values.tolist()):
+            lines.append(delimiter.join([t, *map(repr, row)]))
         return "\n".join(lines) + "\n"
 
     def report(self) -> dict:

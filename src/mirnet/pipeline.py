@@ -159,8 +159,9 @@ def _combination_results(cfg: AnalysisConfig, combos: list[dict], returns) -> li
 
     With more than one combination, more than one usable CPU and the ``fork``
     start method, they run in a pool of min(combinations, CPUs) forked
-    workers, MIR first as the longest; otherwise, and in a daemonic process
-    (which may not start processes), one after another here."""
+    workers, MIR first as the longest, which share the CPUs for their
+    first-passage solves; otherwise, and in a daemonic process (which may not
+    start processes), one after another here."""
     workers = min(len(combos), centrality_mod.usable_cpus())
     if workers > 1:
         import multiprocessing
@@ -172,7 +173,9 @@ def _combination_results(cfg: AnalysisConfig, combos: list[dict], returns) -> li
             longest_first = sorted(
                 range(len(combos)), key=lambda i: combos[i]["method"] == "correlation"
             )
-            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            with ProcessPoolExecutor(workers, mp_context=fork,
+                                     initializer=centrality_mod.share_cpus,
+                                     initargs=(workers,)) as pool:
                 futures = {i: pool.submit(_recorded_combination, cfg, combos[i], returns)
                            for i in longest_first}
                 recorded = [futures[i].result() for i in range(len(combos))]

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -140,7 +141,7 @@ class TestMeanFirstPassage:
 
     # the oracle's SVDs make n = 250 cost several seconds, so one graph has it,
     # and each oracle is checked against one block and, on the graphs of
-    # THREADED_MIN_NODES or more, several
+    # 2 * MIN_TARGETS_PER_THREAD or more nodes, several
     @pytest.mark.parametrize(
         "make, weighted",
         [
@@ -175,7 +176,7 @@ class TestMeanFirstPassage:
     def test_lowest_ill_conditioned_target_named_across_blocks(self, blocks, monkeypatch):
         # two paths, long enough to be split: every target is ill-conditioned,
         # in every block, and the later blocks may fail first
-        n = 2 * centrality.THREADED_MIN_NODES
+        n = 4 * centrality.MIN_TARGETS_PER_THREAD
         nodes = [f"N{i:03d}" for i in range(n)]
         edges = [(nodes[i], nodes[i + 1], 0.5) for i in range(n - 1) if i != n // 2 - 1]
         P = transition_matrix(graph_from_edges(nodes, edges))
@@ -183,9 +184,30 @@ class TestMeanFirstPassage:
         with pytest.raises(np.linalg.LinAlgError, match="target 0 "):
             mean_first_passage(P)
 
+    @pytest.mark.parametrize("n, cpus, threads", [
+        (63, 4, 1),
+        (64, 4, 2),
+        (250, 64, 7),
+        (250, 1, 1),
+    ])
+    def test_each_thread_gets_min_targets(self, n, cpus, threads, monkeypatch):
+        started = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, workers):
+                started.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(centrality, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(centrality, "free_cpus", lambda: cpus)
+        mean_first_passage(transition_matrix(path_graph(n)))
+        # block 0 runs in the calling thread
+        assert 1 + sum(started) == threads
+
 
 class TestFreeCpus:
-    """Usable CPUs over the BLAS thread count, read as OpenBLAS reads it."""
+    """The usable CPUs with one BLAS thread, read as OpenBLAS reads it, and one
+    CPU otherwise."""
 
     @pytest.fixture(autouse=True)
     def four_cpus(self, monkeypatch):
@@ -199,15 +221,15 @@ class TestFreeCpus:
             ({}, 1),
             ({"OPENBLAS_NUM_THREADS": "1"}, 4),
             ({"GOTO_NUM_THREADS": "1"}, 4),
-            ({"OMP_NUM_THREADS": "2"}, 2),
-            ({"OMP_NUM_THREADS": "3"}, 1),
+            ({"OMP_NUM_THREADS": "1"}, 4),
+            ({"OMP_NUM_THREADS": "2"}, 1),
             ({"OPENBLAS_NUM_THREADS": "8"}, 1),
             ({"OPENBLAS_NUM_THREADS": "0"}, 1),
             ({"OPENBLAS_NUM_THREADS": "two"}, 1),
-            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
+            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4),
             ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4),
             ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 4),
-            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
         ],
     )
     def test_rule(self, env, expected, monkeypatch):
@@ -215,6 +237,13 @@ class TestFreeCpus:
             monkeypatch.setenv(var, value)
         assert centrality.free_cpus() == expected
         assert centrality.usable_cpus() == 4
+
+    @pytest.mark.parametrize("processes, expected", [(1, 4), (2, 2), (3, 1), (8, 1)])
+    def test_shared_between_processes(self, processes, expected, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(centrality, "_cpu_sharers", 1)
+        centrality.share_cpus(processes)
+        assert centrality.free_cpus() == expected
 
 
 class TestMarkovCentrality:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import mirnet
-from mirnet import pipeline
+from mirnet import centrality, pipeline
 from mirnet.distance import DistanceMatrix, build_matrix
 from mirnet.errors import ValidationError
 from mirnet.ingest import discretize, load_price_table, log_returns
@@ -483,6 +483,29 @@ class TestCombinationPool:
         pids = [entry["pid"] for entry in manifest["combinations"].values()]
         assert {pid == os.getpid() for pid in pids} == {not pooled}
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, alphabets, free", [
+        (4, [4], [2, 2]),
+        (4, [4, 10], [1, 1, 1]),
+        (1, [4, 10], [1, 1, 1]),
+    ])
+    def test_workers_share_the_free_cpus(
+        self, price_file, tmp_path, monkeypatch, cpus, alphabets, free
+    ):
+        combination = pipeline._combination
+
+        def with_free_cpus(cfg, combo, returns):
+            texts, centralities, entry = combination(cfg, combo, returns)
+            return texts, centralities, entry | {"free": centrality.free_cpus()}
+
+        monkeypatch.setattr(pipeline, "_combination", with_free_cpus)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        on_cpus(monkeypatch, cpus)
+        cfg = small_config(price_file, tmp_path / "out", alphabet_sizes=alphabets)
+        manifest = run_pipeline(cfg)
+        assert [entry["free"] for entry in manifest["combinations"].values()] == free
+        # the calling process keeps every usable CPU
+        assert centrality.free_cpus() == cpus
 
     def test_daemonic_process_runs_serially(self, price_file, tmp_path, monkeypatch):
         # a daemonic process, such as a multiprocessing.Pool worker, may not

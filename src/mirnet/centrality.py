@@ -7,16 +7,20 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import AlignmentError
 from .graph import FilteredGraph
 
-# first-passage systems at or below this reciprocal 1-norm condition number
-# are treated as singular
+# first-passage systems at or below this reciprocal infinity-norm condition
+# number are treated as singular
 MIN_RCOND = 1e-12
 
-# where OpenBLAS, the BLAS of scipy's wheels, reads its thread count at load:
+# the most doubles of pinned systems one stacked solve holds (4 MB, 8 systems
+# at n = 250): batches of 32 at n = 250 raised a correlation run's peak memory
+# by 30-45 MB, and one system a call doubled the solve time
+BATCH_DOUBLES = 2**19
+
+# where OpenBLAS, the BLAS of numpy's wheels, reads its thread count at load:
 # the first positive integer among them, every usable CPU when none is set
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -103,64 +107,93 @@ def free_cpus() -> int:
 def mean_first_passage(P: np.ndarray) -> np.ndarray:
     """Matrix M with M[s, v] = expected steps of the walk from s to v.
 
-    Column v solves (I - P) m = 1 with the row for v pinned to m[v] = 0,
-    through one LU factorization per target (LAPACK getrf/getrs, the routines
-    behind ``scipy.linalg.solve``). The 1-norm condition estimate of that LU
-    (gecon) guards each solve: a reciprocal condition number at or below
-    ``MIN_RCOND``, as a walk that cannot reach the target gives, raises
-    ``LinAlgError`` naming the lowest such target.
+    Column v solves A_v m = 1 - e_v, where A_v is I - P with row v pinned to
+    e_v (so m[v] = 0): one LU factorization with partial pivoting per target
+    (LAPACK gesv, through ``np.linalg.solve``), the pinned systems stacked in
+    batches of at most ``BATCH_DOUBLES`` doubles.
+
+    Two exact checks guard the solves, each raising ``LinAlgError`` that names
+    the lowest failing target. Before any solve, every node must reach every
+    target along the entries P > 0. After it, when every node reaches v,
+    A_v^-1 >= 0 and A_v^-1 1 = M[:, v] + 1, so the infinity-norm condition
+    number of A_v is exactly ||A_v|| (1 + max_s M[s, v]); at or above
+    1 / ``MIN_RCOND`` the system counts as singular.
 
     The targets are split into contiguous blocks over ``free_cpus()`` threads,
-    with at least ``MIN_TARGETS_PER_THREAD`` targets each (the LAPACK calls
-    release the GIL); each column gets the same calls, and so the same bits,
-    whatever the block count.
+    with at least ``MIN_TARGETS_PER_THREAD`` targets each (LAPACK releases
+    the GIL); each column gets the same calls, and so the same bits, whatever
+    the block count and the batch size.
     """
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
-    M = np.zeros((n, n), dtype=float)
-    system = np.asfortranarray(np.eye(n) - P)
-    # pinning a target's row changes one entry per column, so gecon's 1-norm
-    # of each pinned system follows from these column sums in O(n)
-    col_norms = np.abs(system).sum(axis=0)
+    _check_reachable(P > 0)
+    M = np.empty((n, n), dtype=float)
+    system = np.eye(n) - P
+    per_batch = max(1, BATCH_DOUBLES // max(n * n, 1))
 
-    def solve(targets) -> tuple[int, float] | None:
-        """Fill M's columns for ``targets``; the first ill-conditioned target
-        and its reciprocal condition number, or None."""
-        # Fortran order, so getrf factorizes in place; b is overwritten by getrs
-        a = np.empty((n, n), order="F")
-        b = np.empty((n, 1))
-        for v in targets:
+    def solve(targets) -> None:
+        """Fill M's columns for ``targets``, ``per_batch`` systems at a time."""
+        work = np.empty((min(per_batch, len(targets)), n, n))
+        for start in range(0, len(targets), per_batch):
+            batch = targets[start:start + per_batch]
+            k = np.arange(len(batch))
+            a = work[:len(batch)]
             a[...] = system
-            a[v, :] = 0.0
-            a[v, v] = 1.0
-            b[...] = 1.0
-            b[v] = 0.0
-            norms = col_norms - np.abs(system[v])
-            norms[v] += 1.0
-            lu, piv, info = lapack.dgetrf(a, overwrite_a=1)
-            # info > 0 is an exactly zero pivot; gecon needs a nonsingular LU
-            rcond = 0.0 if info else lapack.dgecon(lu, norms.max())[0]
-            if not rcond > MIN_RCOND:
-                return v, rcond
-            M[:, v] = lapack.dgetrs(lu, piv, b, overwrite_b=1)[0][:, 0]
-        return None
+            a[k, batch, :] = 0.0
+            a[k, batch, batch] = 1.0
+            b = np.ones((len(batch), n, 1))
+            b[k, batch] = 0.0
+            M[:, batch] = np.linalg.solve(a, b)[:, :, 0].T
 
     threads = max(1, min(free_cpus(), n // MIN_TARGETS_PER_THREAD))
     blocks = np.array_split(np.arange(n), threads)
     if len(blocks) == 1:
-        failures = [solve(blocks[0])]
+        solve(blocks[0])
     else:
         with ThreadPoolExecutor(len(blocks) - 1) as pool:
             futures = [pool.submit(solve, block) for block in blocks[1:]]
-            failures = [solve(blocks[0])] + [f.result() for f in futures]
-    for failure in failures:
-        if failure is not None:
-            v, rcond = failure
-            raise np.linalg.LinAlgError(
-                f"first-passage system for target {v} is ill-conditioned "
-                f"(reciprocal condition number {rcond:.3g})"
-            )
+            solve(blocks[0])
+            for future in futures:
+                future.result()
+
+    # ||A_v|| is the largest absolute row sum of I - P outside row v, or 1
+    row_norms = np.abs(system).sum(axis=1)
+    outside = np.where(np.eye(n, dtype=bool), 0.0, row_norms[:, None])
+    norms = outside.max(axis=0, initial=1.0)
+    cond = norms * (1.0 + M.max(axis=0, initial=0.0))
+    singular = ~(cond < 1.0 / MIN_RCOND)
+    if singular.any():
+        v = int(singular.argmax())
+        raise np.linalg.LinAlgError(
+            f"first-passage system for target {v} is ill-conditioned "
+            f"(reciprocal condition number {1.0 / cond[v]:.3g})"
+        )
     return M
+
+
+def _check_reachable(step: np.ndarray) -> None:
+    """Raise ``LinAlgError`` naming the lowest target v, and a node, such
+    that the node has no path to v along ``step`` (step[s, t]: s -> t)."""
+    for v in range(len(step)):
+        reach = _reaching(step, v)
+        if not reach.all():
+            s = int(reach.argmin())
+            raise np.linalg.LinAlgError(
+                f"first-passage target {v} cannot be reached from node {s}"
+            )
+        if v == 0 and _reaching(step.T, 0).all():
+            return  # every node reaches 0 and 0 reaches every node
+
+
+def _reaching(step: np.ndarray, v: int) -> np.ndarray:
+    """Mask of the nodes with a path to ``v`` along ``step``."""
+    seen = np.zeros(len(step), dtype=bool)
+    seen[v] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = step[:, frontier].any(axis=1) & ~seen
+        seen |= frontier
+    return seen
 
 
 def markov_centrality(graph: FilteredGraph, weighted: bool = False) -> CentralityVector:

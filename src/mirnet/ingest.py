@@ -149,6 +149,56 @@ def load_price_table(
                 "cannot carry"
             )
 
+    # The common table, with every field on every line, no quote and every
+    # price parseable, takes one pass over the lines and one loadtxt call;
+    # anything else is left to ``_scan``, with every error and dropped row.
+    body = lines[1:-1] if lines[-1] == "" else lines[1:]
+    table = None
+    if body and all(
+        line.count(delimiter) == len(price_cols) and '"' not in line for line in body
+    ):
+        try:
+            table = _loadtxt(body, price_cols, delimiter)
+        except ValueError:
+            pass
+    if table is None:
+        kept, linenos, dates, dropped, width_error = _scan(
+            path, lines, header, price_cols, date_idx, delimiter
+        )
+    else:
+        kept, linenos, dropped, width_error = body, range(2, len(body) + 2), [], None
+        dates = [line.split(delimiter, date_idx + 1)[date_idx].strip() for line in body]
+
+    # parsed before the short row's error is raised: a bad price above that
+    # row comes first in reading order
+    prices = _price_table(
+        path, kept, linenos, dates, tickers, price_cols, delimiter, table
+    )
+    if width_error is not None:
+        raise width_error
+    if dropped:
+        warnings.warn(
+            f"dropped {len(dropped)} row(s) with a missing price, the first at "
+            f"{path}:{dropped[0]}",
+            stacklevel=2,
+        )
+    if len(dates) < 2:
+        raise InsufficientDataError(
+            f"{path}: only {len(dates)} usable rows after alignment (need >= 2)"
+        )
+    calendar = _calendar(dates, lambda k: f"{path}:{linenos[k]}")
+    columns = np.ascontiguousarray(prices.T)
+    return [
+        PriceSeries(ticker=t, dates=calendar, prices=columns[j])
+        for j, t in enumerate(tickers)
+    ]
+
+
+def _scan(path, lines, header, price_cols, date_idx, delimiter):
+    """Sort the lines after the header, up to the first one of the wrong
+    width: the kept lines with their line numbers and dates, the line
+    numbers of the rows dropped for a missing price, and the width error,
+    if any. Blank lines are skipped."""
     kept: list[str] = []
     linenos: list[int] = []
     dates: list[str] = []
@@ -172,28 +222,7 @@ def load_price_table(
         kept.append(line)
         linenos.append(lineno)
         dates.append(cells[date_idx].strip())
-
-    # parsed before the short row's error is raised: a bad price above that
-    # row comes first in reading order
-    prices = _price_table(path, kept, linenos, dates, tickers, price_cols, delimiter)
-    if width_error is not None:
-        raise width_error
-    if dropped:
-        warnings.warn(
-            f"dropped {len(dropped)} row(s) with a missing price, the first at "
-            f"{path}:{dropped[0]}",
-            stacklevel=2,
-        )
-    if len(dates) < 2:
-        raise InsufficientDataError(
-            f"{path}: only {len(dates)} usable rows after alignment (need >= 2)"
-        )
-    calendar = _calendar(dates, lambda k: f"{path}:{linenos[k]}")
-    columns = np.ascontiguousarray(prices.T)
-    return [
-        PriceSeries(ticker=t, dates=calendar, prices=columns[j])
-        for j, t in enumerate(tickers)
-    ]
+    return kept, linenos, dates, dropped, width_error
 
 
 def _cells(line: str, delimiter: str) -> list[str]:
@@ -216,8 +245,9 @@ def _loadtxt(lines: list[str], columns: list[int], delimiter: str) -> np.ndarray
     )
 
 
-def _price_table(path, kept, linenos, dates, tickers, price_cols, delimiter):
-    """The price cells of the kept lines as a (rows, tickers) array.
+def _price_table(path, kept, linenos, dates, tickers, price_cols, delimiter, table):
+    """The price cells of the kept lines as a (rows, tickers) array, parsed
+    here unless ``table`` already holds them.
 
     A cell numpy cannot parse raises FormatError, a value that is not a
     finite positive number (``loadtxt`` reads ``nan`` and ``inf``) raises
@@ -239,7 +269,7 @@ def _price_table(path, kept, linenos, dates, tickers, price_cols, delimiter):
             )
 
     try:
-        table = _loadtxt(kept, price_cols, delimiter)
+        table = _loadtxt(kept, price_cols, delimiter) if table is None else table
     except ValueError:
         # Go row by row, then cell by cell in the failing row, so that the
         # error names the first bad cell in reading order.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -10,6 +11,8 @@ import traceback
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+
+import numpy as np
 
 from . import centrality as centrality_mod
 from . import distance as distance_mod
@@ -221,6 +224,13 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
 
     manifest: dict = {
         "config": asdict(cfg),
+        # what decides the artifacts' last bits besides the inputs
+        "provenance": {
+            "numpy": np.__version__,
+            "blas_threads": {
+                var: os.environ.get(var) for var in centrality_mod.BLAS_THREAD_VARS
+            },
+        },
         "n_instruments": len(series),
         "combinations": {},
         "comparisons": [],

@@ -15,7 +15,6 @@ import math
 
 import networkx as nx
 import numpy as np
-import scipy.linalg
 
 from mirnet.errors import FormatError, InsufficientDataError, ValidationError
 from mirnet.ingest import PriceSeries
@@ -313,5 +312,5 @@ def svd_checked_first_passage(P: np.ndarray) -> np.ndarray:
                 f"first-passage system for target {v} is ill-conditioned "
                 f"(condition number {cond:.3g})"
             )
-        M[:, v] = scipy.linalg.solve(a, b)
+        M[:, v] = np.linalg.solve(a, b)
     return M

@@ -164,6 +164,60 @@ class TestMeanFirstPassage:
             monkeypatch.setattr(centrality, "free_cpus", lambda: blocks)
             assert np.array_equal(mean_first_passage(P), expected), blocks
 
+    @pytest.mark.parametrize("systems", [1, 3])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: build_mst(random_distances(70, 7)), lambda: stacked_triangulation(40, 8)],
+        ids=["mst70", "planar40"],
+    )
+    def test_same_bits_for_any_batch_size(self, make, systems, monkeypatch):
+        P = transition_matrix(make(), weighted=True)
+        expected = mean_first_passage(P)
+        monkeypatch.setattr(centrality, "BATCH_DOUBLES", systems * len(P) ** 2)
+        for blocks in (1, 2):
+            monkeypatch.setattr(centrality, "free_cpus", lambda: blocks)
+            assert np.array_equal(mean_first_passage(P), expected), blocks
+
+    @pytest.mark.parametrize("bridge, singular", [(1.0, True), (1.0 - 1e-6, False)])
+    def test_condition_guard_on_a_weak_bridge(self, bridge, singular):
+        # two triangles joined by one edge of weight max(1 - bridge, 1e-12):
+        # every node reaches every other, but at distance 1 the hitting times
+        # across the bridge pass 1 / MIN_RCOND
+        edges = [("A", "B", 0.5), ("B", "C", 0.5), ("A", "C", 0.5),
+                 ("D", "E", 0.5), ("E", "F", 0.5), ("D", "F", 0.5), ("C", "D", bridge)]
+        P = transition_matrix(graph_from_edges("ABCDEF", edges, kind="pmfg"), weighted=True)
+        if singular:
+            with pytest.raises(np.linalg.LinAlgError, match="target 0 "):
+                mean_first_passage(P)
+        else:
+            M = mean_first_passage(P)
+            assert 1e6 < M.max() < 1.0 / centrality.MIN_RCOND
+            np.testing.assert_allclose(M, svd_checked_first_passage(P), rtol=1e-6)
+
+    def test_guard_is_the_infinity_norm_condition_number(self, monkeypatch):
+        # the guard's bound placed just above and just below the largest
+        # condition number that numpy computes from each inverse
+        P = transition_matrix(stacked_triangulation(30, 9), weighted=True)
+        conds = []
+        for v in range(len(P)):
+            a = np.eye(len(P)) - P
+            a[v] = 0.0
+            a[v, v] = 1.0
+            conds.append(np.linalg.cond(a, np.inf))
+        worst = int(np.argmax(conds))
+        monkeypatch.setattr(centrality, "MIN_RCOND", 1.0 / (conds[worst] * (1 + 1e-9)))
+        mean_first_passage(P)
+        monkeypatch.setattr(centrality, "MIN_RCOND", 1.0 / (conds[worst] * (1 - 1e-9)))
+        with pytest.raises(np.linalg.LinAlgError, match=f"target {worst} "):
+            mean_first_passage(P)
+
+    def test_lowest_unreachable_target_named(self):
+        # 0 and 1 step to each other, 2 steps to 0: every node reaches 0 and
+        # 1, and no node reaches 2
+        P = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="target 2 cannot be reached from node 0"):
+            mean_first_passage(P)
+
     def test_two_disjoint_edges_rejected(self):
         # every node has a neighbour, so the walk is defined, but no walk
         # crosses between the two components
@@ -327,15 +381,15 @@ class TestCompareCentralities:
         else:
             assert abs(ours - expected) <= 1e-12
 
-    def test_import_leaves_out_scipy_stats(self):
+    def test_import_leaves_out_scipy(self):
         src = str(Path(mirnet.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import sys, mirnet; print('scipy.stats' in sys.modules)"
+        code = "import sys, mirnet; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[]"
 
     def test_self_comparison(self):
         cv = markov_centrality(path_graph(6))

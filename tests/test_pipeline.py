@@ -208,6 +208,19 @@ class TestRunPipeline:
             assert -1.0 <= row["pearson"] <= 1.0
             assert -1.0 <= row["spearman"] <= 1.0
 
+    def test_manifest_records_numpy_and_blas_threads(self, price_file, tmp_path, monkeypatch):
+        for var in centrality.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        out = tmp_path / "out"
+        run_pipeline(small_config(price_file, out, methods=["correlation"]))
+        provenance = json.loads((out / "manifest.json").read_text())["provenance"]
+        assert provenance == {
+            "numpy": np.__version__,
+            "blas_threads": {"OPENBLAS_NUM_THREADS": None, "GOTO_NUM_THREADS": None,
+                             "OMP_NUM_THREADS": "1"},
+        }
+
     def test_graph_artifacts_valid(self, price_file, tmp_path):
         out = tmp_path / "out"
         run_pipeline(small_config(price_file, out))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError
+from .errors import AlignmentError, ValidationError
 from .graph import FilteredGraph
 
 # first-passage systems at or below this reciprocal infinity-norm condition
@@ -28,9 +28,6 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 # thread on 2 cores, two blocks took 1.2-1.9x the time of one at n = 40-48,
 # 0.8-0.9x at n = 56-72 and 0.5x at n = 250
 MIN_TARGETS_PER_THREAD = 32
-
-# processes that share the usable CPUs for their solves (``share_cpus``)
-_cpu_sharers = 1
 
 
 @dataclass
@@ -57,7 +54,9 @@ def transition_matrix(graph: FilteredGraph, weighted: bool = False) -> np.ndarra
     """Row-stochastic random-walk matrix of a connected filtered graph.
 
     Unweighted: uniform over neighbours. Weighted: proportional to the
-    similarity 1 - distance of each incident edge.
+    similarity 1 - distance of each incident edge. A disconnected graph, a
+    lone node included, raises ``ValidationError`` naming a node that the
+    walk from the first node never reaches.
     """
     n = graph.n
     index = {t: i for i, t in enumerate(graph.nodes)}
@@ -67,9 +66,13 @@ def transition_matrix(graph: FilteredGraph, weighted: bool = False) -> np.ndarra
         weight = max(1.0 - dist, 1e-12) if weighted else 1.0
         w[i, j] = w[j, i] = weight
     row_sums = w.sum(axis=1)
-    if np.any(row_sums == 0):
-        isolated = [graph.nodes[i] for i in np.flatnonzero(row_sums == 0)]
-        raise ValueError(f"graph is disconnected; isolated nodes: {isolated}")
+    # the first node itself counts as reached only if it has a neighbour
+    stranded = ~_reaching(w > 0, 0) | (row_sums == 0)
+    if stranded.any():
+        raise ValidationError(
+            f"graph is disconnected: the walk from {graph.nodes[0]} never "
+            f"reaches {graph.nodes[stranded.argmax()]}"
+        )
     return w / row_sums[:, None]
 
 
@@ -78,16 +81,9 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def share_cpus(processes: int) -> None:
-    """Give this process's solves 1/``processes`` of the usable CPUs, as each
-    of ``processes`` pool workers should."""
-    global _cpu_sharers
-    _cpu_sharers = processes
-
-
 def free_cpus() -> int:
-    """CPUs for this process's first-passage solves: its share of the usable
-    CPUs when BLAS runs one thread, else 1.
+    """CPUs for the first-passage solves: the usable CPUs when BLAS runs one
+    thread, else 1, in every process alike (a pool worker included).
 
     The BLAS thread count is the first positive integer among
     ``BLAS_THREAD_VARS``; with none set, BLAS takes every usable CPU. Only
@@ -100,7 +96,7 @@ def free_cpus() -> int:
         except ValueError:
             continue
         if threads > 0:
-            return max(1, usable_cpus() // _cpu_sharers) if threads == 1 else 1
+            return usable_cpus() if threads == 1 else 1
     return 1
 
 
@@ -119,10 +115,11 @@ def mean_first_passage(P: np.ndarray) -> np.ndarray:
     number of A_v is exactly ||A_v|| (1 + max_s M[s, v]); at or above
     1 / ``MIN_RCOND`` the system counts as singular.
 
-    The targets are split into contiguous blocks over ``free_cpus()`` threads,
-    with at least ``MIN_TARGETS_PER_THREAD`` targets each (LAPACK releases
-    the GIL); each column gets the same calls, and so the same bits, whatever
-    the block count and the batch size.
+    The targets are split into contiguous blocks over ``free_cpus()``
+    threads, with at least ``MIN_TARGETS_PER_THREAD`` targets each (LAPACK
+    releases the GIL): block 0 in the calling thread, the others mapped over
+    an executor. Each column gets the same calls, and so the same bits,
+    whatever the block count and the batch size.
     """
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
@@ -147,14 +144,16 @@ def mean_first_passage(P: np.ndarray) -> np.ndarray:
 
     threads = max(1, min(free_cpus(), n // MIN_TARGETS_PER_THREAD))
     blocks = np.array_split(np.arange(n), threads)
-    if len(blocks) == 1:
+    if threads == 1:
         solve(blocks[0])
     else:
-        with ThreadPoolExecutor(len(blocks) - 1) as pool:
-            futures = [pool.submit(solve, block) for block in blocks[1:]]
+        # block 0 stays in this thread: each executor thread mallocs from an
+        # arena of its own, and one more raised the peak RSS of a 250-node
+        # correlation run from 93 to 100 MB (one BLAS thread, 2 cores)
+        with ThreadPoolExecutor(threads - 1) as pool:
+            rest = pool.map(solve, blocks[1:])
             solve(blocks[0])
-            for future in futures:
-                future.result()
+            list(rest)
 
     # ||A_v|| is the largest absolute row sum of I - P outside row v, or 1
     row_norms = np.abs(system).sum(axis=1)

@@ -191,7 +191,7 @@ def corr_distance(x, y, *, variant: str = "one_minus_r2") -> float:
     return float(_corr_to_distance(pearson(x, y), variant))
 
 
-def _mir_values(series, method, allow_short, min_length, zero_for_degenerate):
+def _mir_values(series, method, allow_short, min_length):
     """MIR distances of every pair of ``series``, and how many were clamped.
 
     Checked once per matrix, in order: type, alphabet, lengths, the short
@@ -213,13 +213,12 @@ def _mir_values(series, method, allow_short, min_length, zero_for_degenerate):
     lz._check_length(m, min_length, allow_short)
     i, j = np.triu_indices(n, 1)
     degenerate = constant[i] & constant[j]
-    if degenerate.any() and not zero_for_degenerate:
+    if degenerate.any():
         k = degenerate.argmax()
         raise DegeneratePairError(
             f"pair ({series[i[k]].ticker}, {series[j[k]].ticker}): both sequences "
             "constant, MIR distance undefined"
         )
-    i, j = i[~degenerate], j[~degenerate]
     # the self-pairs come first, not interleaved with the pairs (which measured
     # slower)
     a, b = np.r_[np.arange(n), i], np.r_[np.arange(n), j]
@@ -242,7 +241,6 @@ def mir_distance(
     *,
     allow_short: bool = False,
     min_length: int = lz.DEFAULT_MIN_LENGTH,
-    zero_for_degenerate: bool = False,
 ) -> float:
     """Normalized MIR distance D = (HR(x,y) - MIR) / HR(x,y), in [0, 1].
 
@@ -250,7 +248,7 @@ def mir_distance(
     independent pairs approach 1. The rates come from the paper's estimator
     (``MIR_ESTIMATOR``), whose bias largely cancels in the ratio.
     """
-    values, _ = _mir_values((x, y), "mir", allow_short, min_length, zero_for_degenerate)
+    values, _ = _mir_values((x, y), "mir", allow_short, min_length)
     return float(values[0, 1])
 
 
@@ -260,15 +258,12 @@ def mir_prime_distance(
     *,
     allow_short: bool = False,
     min_length: int = lz.DEFAULT_MIN_LENGTH,
-    zero_for_degenerate: bool = False,
 ) -> float:
     """Variant distance D' = 1 - MIR / max(HR(x), HR(y)); always <= D.
 
     Uses the paper's estimator (``MIR_ESTIMATOR``), as ``mir_distance`` does.
     """
-    values, _ = _mir_values(
-        (x, y), "mir_prime", allow_short, min_length, zero_for_degenerate
-    )
+    values, _ = _mir_values((x, y), "mir_prime", allow_short, min_length)
     return float(values[0, 1])
 
 
@@ -279,20 +274,19 @@ def build_matrix(
     corr_variant: str = "one_minus_r2",
     allow_short: bool = False,
     min_length: int = lz.DEFAULT_MIN_LENGTH,
-    zero_for_degenerate: bool = False,
 ) -> DistanceMatrix:
     """Fill the n(n-1)/2 pairwise distances for one method.
 
     Correlation distances come from one Gram product of the centred returns;
     the upper triangle is mirrored, so the matrix is exactly symmetric with a
     zero diagonal. Both families check lengths first: a length mismatch raises
-    ``AlignmentError`` naming the pair, even under ``zero_for_degenerate``.
-    A constant series raises ``UndefinedCorrelationError`` naming the ticker;
-    a pair of constant sequences raises ``DegeneratePairError`` naming it, or
-    gets 0 under ``zero_for_degenerate``. MIR matrices share one routine with
-    ``mir_distance`` and ``mir_prime_distance``, use the paper's estimator
-    (``MIR_ESTIMATOR``), whose spread at a few thousand returns is smaller
-    than the slope's, and record how many pairs needed the clamp.
+    ``AlignmentError`` naming the pair. Then a constant series raises
+    ``UndefinedCorrelationError`` naming the ticker, and a pair of constant
+    sequences raises ``DegeneratePairError`` naming it. MIR matrices share
+    one routine with ``mir_distance`` and ``mir_prime_distance``, use the
+    paper's estimator (``MIR_ESTIMATOR``), whose spread at a few thousand
+    returns is smaller than the slope's, and record how many pairs needed the
+    clamp.
     """
     series = list(series)
     if len(series) < 3:
@@ -305,9 +299,7 @@ def build_matrix(
         values += values.T
         params, clamped = {"variant": corr_variant}, 0
     else:
-        values, clamped = _mir_values(
-            series, method, allow_short, min_length, zero_for_degenerate
-        )
+        values, clamped = _mir_values(series, method, allow_short, min_length)
         params = {"alphabet_size": series[0].alphabet_size}
     return DistanceMatrix(
         tickers=tuple(s.ticker for s in series),

@@ -21,7 +21,7 @@ from mirnet.centrality import (
     transition_matrix,
 )
 from mirnet.distance import DistanceMatrix
-from mirnet.errors import AlignmentError
+from mirnet.errors import AlignmentError, ValidationError
 from mirnet.graph import FilteredGraph, build_mst, build_pmfg
 
 from oracles import monte_carlo_passage_time, svd_checked_first_passage
@@ -100,9 +100,16 @@ class TestTransitionMatrix:
         assert P[0, 2] == pytest.approx(0.1)
 
     def test_disconnected_rejected(self):
-        g = FilteredGraph("mst", ("A", "B", "C"), [("A", "B", 0.5)], "test")
-        with pytest.raises(ValueError, match="disconnected"):
-            transition_matrix(g)
+        # a node outside the first node's component, a lone node, and a first
+        # node without neighbours
+        for nodes, edges, culprit in (
+            ("ABC", [("A", "B", 0.5)], "C"),
+            ("A", [], "A"),
+            ("ABC", [("B", "C", 0.5)], "A"),
+        ):
+            g = FilteredGraph("mst", tuple(nodes), edges, "test")
+            with pytest.raises(ValidationError, match=f"disconnected: .* reaches {culprit}$"):
+                transition_matrix(g)
 
 
 class TestMeanFirstPassage:
@@ -219,21 +226,19 @@ class TestMeanFirstPassage:
             mean_first_passage(P)
 
     def test_two_disjoint_edges_rejected(self):
-        # every node has a neighbour, so the walk is defined, but no walk
-        # crosses between the two components
-        g = graph_from_edges("ABCD", [("A", "B", 0.5), ("C", "D", 0.5)])
-        P = transition_matrix(g)
+        # the walk on the edges A-B and C-D: every node has a step, but no
+        # walk crosses between the two components
+        P = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])
         with pytest.raises(np.linalg.LinAlgError, match="target 0"):
             mean_first_passage(P)
 
     @pytest.mark.parametrize("blocks", [2, 4])
     def test_lowest_ill_conditioned_target_named_across_blocks(self, blocks, monkeypatch):
-        # two paths, long enough to be split: every target is ill-conditioned,
-        # in every block, and the later blocks may fail first
+        # the walk on two paths, long enough to be split: every target is
+        # ill-conditioned, in every block, and the later blocks may fail first
         n = 4 * centrality.MIN_TARGETS_PER_THREAD
-        nodes = [f"N{i:03d}" for i in range(n)]
-        edges = [(nodes[i], nodes[i + 1], 0.5) for i in range(n - 1) if i != n // 2 - 1]
-        P = transition_matrix(graph_from_edges(nodes, edges))
+        P = np.kron(np.eye(2), transition_matrix(path_graph(n // 2)))
         monkeypatch.setattr(centrality, "free_cpus", lambda: blocks)
         with pytest.raises(np.linalg.LinAlgError, match="target 0 "):
             mean_first_passage(P)
@@ -255,8 +260,9 @@ class TestMeanFirstPassage:
         monkeypatch.setattr(centrality, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(centrality, "free_cpus", lambda: cpus)
         mean_first_passage(transition_matrix(path_graph(n)))
-        # block 0 runs in the calling thread
-        assert 1 + sum(started) == threads
+        # block 0 runs in the calling thread: one executor for the other
+        # blocks, none for a single block
+        assert started == ([threads - 1] if threads > 1 else [])
 
 
 class TestFreeCpus:
@@ -291,13 +297,6 @@ class TestFreeCpus:
             monkeypatch.setenv(var, value)
         assert centrality.free_cpus() == expected
         assert centrality.usable_cpus() == 4
-
-    @pytest.mark.parametrize("processes, expected", [(1, 4), (2, 2), (3, 1), (8, 1)])
-    def test_shared_between_processes(self, processes, expected, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(centrality, "_cpu_sharers", 1)
-        centrality.share_cpus(processes)
-        assert centrality.free_cpus() == expected
 
 
 class TestMarkovCentrality:

@@ -126,7 +126,6 @@ class TestMirDistance:
         c2 = seq("b", np.ones(600, dtype=int), 2)
         with pytest.raises(DegeneratePairError):
             mir_distance(c1, c2)
-        assert mir_distance(c1, c2, zero_for_degenerate=True) == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(AlignmentError, match=r"pair \(a, b\)"):
@@ -264,9 +263,6 @@ class TestBuildMatrix:
         flat = [seq(name, np.zeros(600, dtype=int)) for name in ("FLAT1", "FLAT2")]
         with pytest.raises(DegeneratePairError, match=r"pair \(FLAT1, FLAT2\)"):
             build_matrix([good[0], *flat], "mir")
-        m = build_matrix([good[0], *flat], "mir", zero_for_degenerate=True)
-        assert m.values[1, 2] == m.values[2, 1] == 0.0
-        assert m.values[0, 1] > 0.0
 
     def test_mir_rates_use_the_paper_estimator(self, monkeypatch):
         # every entry, across several match-length calls of two rows each,
@@ -338,12 +334,11 @@ class TestBuildMatrix:
         short = seq("SHORT", np.zeros(599, dtype=int))
         for method in ("mir", "mir_prime"):
             with pytest.raises(AlignmentError, match=r"pair \(FLAT, SHORT\)"):
-                build_matrix([flat, short, random_seq(rng, "X", 4, 600)], method,
-                             zero_for_degenerate=True)
+                build_matrix([flat, short, random_seq(rng, "X", 4, 600)], method)
         with pytest.raises(AlignmentError, match=r"pair \(FLAT, SHORT\)"):
-            mir_distance(flat, short, zero_for_degenerate=True)
+            mir_distance(flat, short)
         with pytest.raises(AlignmentError, match=r"pair \(FLAT, SHORT\)"):
-            mir_prime_distance(flat, short, zero_for_degenerate=True)
+            mir_prime_distance(flat, short)
 
     def test_mir_needs_symbol_sequences(self):
         rng = np.random.default_rng(22)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from pathlib import Path
@@ -422,19 +423,36 @@ class TestCombinationPool:
     """With more than one usable CPU and combination, the combinations run in
     forked workers; with one CPU the same run stays in the calling process."""
 
-    @pytest.mark.parametrize("shape, status", [
-        ((8, 700), "ok"),
+    @pytest.mark.parametrize("shape, status, split", [
+        ((8, 700), "ok", False),
         # 5 returns fill 4 bins but not 10: mir_a10 fails inside its worker
-        ((4, 6), "partial"),
-    ])
+        ((4, 6), "partial", False),
+        # one BLAS thread and 2 targets a thread: each worker splits its
+        # 8-node solves over its 4 CPUs, where the serial run keeps one thread
+        ((8, 700), "ok", True),
+    ], ids=["shape0-ok", "shape1-partial", "split-solves"])
     def test_pool_and_serial_runs_write_the_same_bytes(
-        self, tmp_path, monkeypatch, shape, status
+        self, tmp_path, monkeypatch, shape, status, split
     ):
         out = tmp_path / "out"
         cfg = small_config(table(tmp_path, *shape), out, alphabet_sizes=[4, 10],
                            allow_short=True)
+        if split:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+            monkeypatch.setattr(centrality, "MIN_TARGETS_PER_THREAD", 2)
+        # the pid and thread count of every solve executor, in any process
+        executors = tmp_path / "executors.txt"
+        executors.touch()
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, threads):
+                with executors.open("a") as f:
+                    f.write(f"{os.getpid()} {threads}\n")
+                super().__init__(threads)
+
+        monkeypatch.setattr(centrality, "ThreadPoolExecutor", Recording)
         runs = []
-        for cpus in (3, 1):
+        for cpus in (4, 1):
             on_cpus(monkeypatch, cpus)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -443,6 +461,11 @@ class TestCombinationPool:
             runs.append(snapshot(out))
         assert runs[0] == runs[1]
         assert len(runs[0]) > 20
+        recorded = [tuple(map(int, line.split()))
+                    for line in executors.read_text().splitlines()]
+        # 4 blocks a solve: block 0 in the worker's own thread, 3 in an executor
+        assert {threads for _, threads in recorded} == ({3} if split else set())
+        assert os.getpid() not in {pid for pid, _ in recorded}
 
     def test_worker_warnings_reach_the_caller(self, tmp_path, monkeypatch):
         # 119 returns: 12 bins exceed their square root, and both MIR
@@ -496,29 +519,6 @@ class TestCombinationPool:
         pids = [entry["pid"] for entry in manifest["combinations"].values()]
         assert {pid == os.getpid() for pid in pids} == {not pooled}
         assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("cpus, alphabets, free", [
-        (4, [4], [2, 2]),
-        (4, [4, 10], [1, 1, 1]),
-        (1, [4, 10], [1, 1, 1]),
-    ])
-    def test_workers_share_the_free_cpus(
-        self, price_file, tmp_path, monkeypatch, cpus, alphabets, free
-    ):
-        combination = pipeline._combination
-
-        def with_free_cpus(cfg, combo, returns):
-            texts, centralities, entry = combination(cfg, combo, returns)
-            return texts, centralities, entry | {"free": centrality.free_cpus()}
-
-        monkeypatch.setattr(pipeline, "_combination", with_free_cpus)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        on_cpus(monkeypatch, cpus)
-        cfg = small_config(price_file, tmp_path / "out", alphabet_sizes=alphabets)
-        manifest = run_pipeline(cfg)
-        assert [entry["free"] for entry in manifest["combinations"].values()] == free
-        # the calling process keeps every usable CPU
-        assert centrality.free_cpus() == cpus
 
     def test_daemonic_process_runs_serially(self, price_file, tmp_path, monkeypatch):
         # a daemonic process, such as a multiprocessing.Pool worker, may not

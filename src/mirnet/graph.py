@@ -99,49 +99,58 @@ def _is_planar(n: int, adj: list[list[int]]) -> bool:
     """Left-Right planarity test (Brandes, 2009) that tests and never embeds.
 
     Vertices are ``0..n-1``; ``adj[v]`` lists the neighbours of ``v``, every
-    edge in both lists, with no self-loops or repeats. The two passes are
-    those of networkx's ``check_planarity``: a DFS orientation that gives
-    each edge its lowpoints and nesting depth, then a testing DFS that visits
-    children by nesting depth and merges return edges into a stack of
-    conflict pairs. Both passes are iterative. The edge oriented ``v -> w``
-    is the int ``v * n + w``; a conflict pair is the list ``[left low, left
-    high, right low, right high]`` of edges, an empty interval having low
-    and high ``None``. ``ref`` links the intervals merged into one. Only the
-    answer is needed, so the sides, the lowpoint edges and the ``ref``
-    entries that an embedding alone reads are not kept, nor the lowpt2 of a
-    back edge, which is the height of its tail.
+    edge in both lists, with no self-loops or repeats; ``adj`` is left as it
+    is. The two passes are those of networkx's ``check_planarity``: a DFS
+    orientation that gives each edge its lowpoints and nesting depth, then a
+    testing DFS that visits children by nesting depth and merges return
+    edges into a stack of conflict pairs. Both passes are iterative, and
+    each resumes a vertex's list through one iterator. Oriented edges are
+    numbered ``0..m-1`` in the order the first pass finds them, and their
+    heads and other attributes are lists indexed by that number; a tail is
+    not kept, since each DFS finishes an edge with its tail on top of the
+    stack. A root's parent edge is -1. A conflict pair is the list ``[left
+    low, left high, right low, right high]`` of edges, an empty interval
+    having low and high ``None``. ``ref`` links the intervals merged into
+    one. Only the answer is needed, so the sides, the lowpoint edges and the
+    ``ref`` entries that an embedding alone reads are not kept, nor the
+    lowpt2 of a back edge, which is the height of its tail.
     """
-    if n > 2 and sum(map(len, adj)) > 2 * (3 * n - 6):
+    m = sum(map(len, adj)) // 2
+    if n > 2 and m > 3 * n - 6:
         return False
     height = [-1] * n
-    parent_edge: list = [None] * n
-    lowpt: dict[int, int] = {}
-    lowpt2: dict[int, int] = {}  # tree edges only
-    nesting: dict[int, int] = {}
+    parent_edge = [-1] * n
+    heads = [0] * m
+    lowpt = [0] * m
+    lowpt2 = [0] * m  # read for tree edges only
+    nesting = [0] * m
+    k = 0  # the next edge number
     out: list[list[int]] = [[] for _ in range(n)]  # oriented edges by tail
+    # what each DFS has yet to walk at each vertex: its neighbours in the
+    # first pass, its oriented edges in the second
+    nbrs: list = [None] * n
     roots = []
-    nxt = [0] * n
     for root in range(n):
         if height[root] >= 0:
             continue
         height[root] = 0
         roots.append(root)
+        nbrs[root] = iter(adj[root])
         stack = [root]
         while stack:
             v = stack[-1]
-            nbrs = adj[v]
             hv = height[v]
             e = parent_edge[v]
-            for i in range(nxt[v], len(nbrs)):
-                w = nbrs[i]
+            for w in nbrs[v]:
                 hw = height[w]
                 if hw < 0:  # tree edge
-                    vw = v * n + w
-                    out[v].append(vw)
-                    lowpt[vw] = lowpt2[vw] = hv
-                    parent_edge[w] = vw
+                    out[v].append(k)
+                    parent_edge[w] = k
+                    heads[k] = w
+                    lowpt[k] = lowpt2[k] = hv
+                    k += 1
                     height[w] = hv + 1
-                    nxt[v] = i + 1
+                    nbrs[w] = iter(adj[w])
                     stack.append(w)
                     break
                 if hw >= hv - 1:
@@ -150,10 +159,11 @@ def _is_planar(n: int, adj: list[list[int]]) -> bool:
                     continue
                 # back edge to an ancestor: lowpt is the ancestor's height,
                 # the edge is not chordal, and its lowpoint joins those of e
-                vw = v * n + w
-                out[v].append(vw)
-                lowpt[vw] = hw
-                nesting[vw] = 2 * hw
+                out[v].append(k)
+                heads[k] = w
+                lowpt[k] = hw
+                nesting[k] = 2 * hw
+                k += 1
                 low_e = lowpt[e]
                 if hw < low_e:
                     lowpt2[e] = low_e
@@ -164,50 +174,50 @@ def _is_planar(n: int, adj: list[list[int]]) -> bool:
                 # v is finished: the tree edge into v gets its nesting depth,
                 # and its lowpoints join those of the tree edge above it
                 stack.pop()
-                vw = e
-                if vw is None:
+                if e < 0:
                     continue
-                v = vw // n
-                low = lowpt[vw]
-                nesting[vw] = 2 * low + (lowpt2[vw] < height[v])
-                e = parent_edge[v]
-                if e is not None:
-                    low_e = lowpt[e]
-                    if low < low_e:
-                        lowpt2[e] = min(low_e, lowpt2[vw])
-                        lowpt[e] = low
-                    elif low > low_e:
-                        lowpt2[e] = min(lowpt2[e], low)
-                    else:
-                        lowpt2[e] = min(lowpt2[e], lowpt2[vw])
+                v = stack[-1]
+                low = lowpt[e]
+                low2 = lowpt2[e]
+                nesting[e] = 2 * low + (low2 < height[v])
+                up = parent_edge[v]
+                if up >= 0:
+                    low_up = lowpt[up]
+                    if low < low_up:
+                        lowpt2[up] = low_up if low_up < low2 else low2
+                        lowpt[up] = low
+                    elif low > low_up:
+                        if low < lowpt2[up]:
+                            lowpt2[up] = low
+                    elif low2 < lowpt2[up]:
+                        lowpt2[up] = low2
 
     for edges in out:
         edges.sort(key=nesting.__getitem__)
     S: list[list] = []
-    bottom: dict = {}  # top of S when each edge was entered
-    ref: dict = {}
-    nxt = [0] * n
+    bottom: list = [None] * m  # top of S when each edge was entered
+    ref: list = [None] * m
     for root in roots:
         stack = [root]
+        nbrs[root] = iter(out[root])
         while stack:
             v = stack[-1]
-            i = nxt[v]
-            if i < len(out[v]):
-                nxt[v] = i + 1
-                ei = out[v][i]
+            ei = next(nbrs[v], -1)
+            if ei >= 0:
                 bottom[ei] = S[-1] if S else None
-                w = ei % n
+                w = heads[ei]
                 if parent_edge[w] == ei:
+                    nbrs[w] = iter(out[w])
                     stack.append(w)
                     continue
                 S.append([None, None, ei, ei])
             else:
                 stack.pop()
                 ei = parent_edge[v]
-                if ei is None:
+                if ei < 0:
                     continue
                 # trim the back edges that end at v's parent u
-                u = ei // n
+                u = stack[-1]
                 hu = height[u]
                 while S:
                     P = S[-1]
@@ -216,18 +226,20 @@ def _is_planar(n: int, adj: list[list[int]]) -> bool:
                     elif P[2] is None:
                         lowest = lowpt[P[0]]
                     else:
-                        lowest = min(lowpt[P[0]], lowpt[P[2]])
+                        lowest = lowpt[P[0]]
+                        if lowpt[P[2]] < lowest:
+                            lowest = lowpt[P[2]]
                     if lowest != hu:
                         break
                     S.pop()
                 if S:
                     P = S[-1]
-                    while P[1] is not None and P[1] % n == u:
-                        P[1] = ref.get(P[1])
+                    while P[1] is not None and heads[P[1]] == u:
+                        P[1] = ref[P[1]]
                     if P[1] is None:
                         P[0] = None
-                    while P[3] is not None and P[3] % n == u:
-                        P[3] = ref.get(P[3])
+                    while P[3] is not None and heads[P[3]] == u:
+                        P[3] = ref[P[3]]
                     if P[3] is None:
                         P[2] = None
                 v = u

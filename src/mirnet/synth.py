@@ -75,9 +75,8 @@ def generate_price_table(spec: SynthSpec) -> str:
     """Delimited price table (header + ISO dates) built from the returns."""
     tickers, returns = generate_returns(spec)
     prices = 100.0 * np.exp(np.vstack([np.zeros(len(tickers)), np.cumsum(returns, axis=0)]))
-    start = np.datetime64("2009-01-01")
-    dates = start + np.arange(spec.n_rows)
+    dates = (np.datetime64("2009-01-01") + np.arange(spec.n_rows)).astype(str)
+    row = "%s" + ",%.8f" * len(tickers)  # the digits of f"{p:.8f}"
     lines = [",".join(["date", *tickers])]
-    for d, row in zip(dates, prices):
-        lines.append(",".join([str(d), *(f"{p:.8f}" for p in row)]))
+    lines += [row % (d, *p) for d, p in zip(dates.tolist(), prices.tolist())]
     return "\n".join(lines) + "\n"

@@ -235,13 +235,25 @@ class TestMeanFirstPassage:
 
     @pytest.mark.parametrize("blocks", [2, 4])
     def test_lowest_ill_conditioned_target_named_across_blocks(self, blocks, monkeypatch):
-        # the walk on two paths, long enough to be split: every target is
-        # ill-conditioned, in every block, and the later blocks may fail first
+        # one path, long enough to be split, whose first 70 edges weigh 1 and
+        # the rest 1e-4, joined at 70 by a bridge of weight 1e-12: every node
+        # reaches every target, but the walk from the heavy half takes about
+        # 1e14 steps to cross, so targets 70 and up pass 1 / MIN_RCOND
+        # (condition numbers near 3e14) while those below stay near 2e10;
+        # target 70 lies inside a later block, which may fail first
         n = 4 * centrality.MIN_TARGETS_PER_THREAD
-        P = np.kron(np.eye(2), transition_matrix(path_graph(n // 2)))
+        heavy = 70
+        nodes = [f"N{i:03d}" for i in range(n)]
+        edges = [(nodes[i - 1], nodes[i], 0.0 if i < heavy else 1.0 - 1e-4)
+                 for i in range(1, n) if i != heavy]
+        edges.append((nodes[heavy - 1], nodes[heavy], 1.0))
+        P = transition_matrix(graph_from_edges(nodes, edges, kind="pmfg"), weighted=True)
         monkeypatch.setattr(centrality, "free_cpus", lambda: blocks)
-        with pytest.raises(np.linalg.LinAlgError, match="target 0 "):
+        with pytest.raises(np.linalg.LinAlgError) as error:
             mean_first_passage(P)
+        message = str(error.value)
+        assert "cannot be reached" not in message
+        assert message.startswith(f"first-passage system for target {heavy} is ill-conditioned")
 
     @pytest.mark.parametrize("n, cpus, threads", [
         (63, 4, 1),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mirnet.distance import DistanceMatrix
 from mirnet.errors import ValidationError
 from mirnet.graph import (
+    _is_planar,
     build_mst,
     build_pmfg,
     is_planar_with,
@@ -26,6 +27,12 @@ from oracles import (
     sorted_pair_edges,
     to_networkx,
 )
+
+
+def examples(count):
+    """``count``, or the loaded profile's ``max_examples`` where that is more:
+    ``--hypothesis-profile=ci`` (tests/conftest.py) raises what a test asks for."""
+    return max(count, settings.default.max_examples)
 
 
 def matrix_from(tickers, values, method="correlation"):
@@ -77,6 +84,55 @@ def small_graphs(draw):
     return list(range(n)), edges
 
 
+def triangulation(n, rnd):
+    """A maximal planar graph on 0..n-1 (n >= 3): a triangle, then each new
+    node stacked into a random face."""
+    g = nx.Graph([(0, 1), (0, 2), (1, 2)])
+    faces = [(0, 1, 2), (0, 1, 2)]
+    for k in range(3, n):
+        a, b, c = faces.pop(rnd.randrange(len(faces)))
+        g.add_edges_from([(a, k), (b, k), (c, k)])
+        faces += [(a, b, k), (a, c, k), (b, c, k)]
+    return g
+
+
+@st.composite
+def neighbour_lists(draw):
+    """``(g, adj)``: a graph of one to three parts, each a G(n, p),
+    a tree, a maximal planar graph less a few edges, or isolated vertices,
+    with its vertices numbered in random order; ``adj`` holds its neighbour
+    lists, each shuffled, then a candidate edge, which ``g`` holds too,
+    appended last to both of its endpoints' lists, as ``build_pmfg`` does."""
+    rnd = draw(st.randoms(use_true_random=False))
+    g = nx.Graph()
+    for _ in range(draw(st.integers(1, 3))):
+        n = rnd.randint(1, 30)
+        shape = rnd.choice(["gnp", "tree", "triangulation", "isolated"])
+        if shape == "gnp":
+            part = nx.gnp_random_graph(n, rnd.choice([0.1, 0.2, 0.4]), seed=rnd.randrange(2**31))
+        elif shape == "tree":
+            part = nx.random_labeled_tree(n, seed=rnd.randrange(2**31))
+        elif shape == "triangulation" and n >= 3:
+            part = triangulation(n, rnd)
+            part.remove_edges_from(rnd.sample(list(part.edges), rnd.randrange(4)))
+        else:
+            part = nx.empty_graph(n)
+        g = nx.disjoint_union(g, part)
+    number = list(range(len(g)))
+    rnd.shuffle(number)
+    g = nx.relabel_nodes(g, dict(enumerate(number)))
+    pairs = [(a, b) for a, b in itertools.combinations(range(len(g)), 2) if not g.has_edge(a, b)]
+    adj = [list(g[v]) for v in range(len(g))]
+    for nbrs in adj:
+        rnd.shuffle(nbrs)
+    if pairs:
+        a, b = rnd.choice(pairs)
+        adj[a].append(b)
+        adj[b].append(a)
+        g.add_edge(a, b)
+    return g, adj
+
+
 @st.composite
 def larger_graphs(draw):
     """Graphs of up to about 60 nodes with string labels: G(n, p), trees with a
@@ -91,12 +147,7 @@ def larger_graphs(draw):
         g = nx.random_labeled_tree(n, seed=rnd.randrange(2**31))
         g.add_edges_from((rnd.randrange(n), rnd.randrange(n)) for _ in range(rnd.randrange(6)))
     else:
-        g = nx.Graph([(0, 1), (0, 2), (1, 2)])
-        faces = [(0, 1, 2), (0, 1, 2)]
-        for k in range(3, n):
-            a, b, c = faces.pop(rnd.randrange(len(faces)))
-            g.add_edges_from([(a, k), (b, k), (c, k)])
-            faces += [(a, b, k), (a, c, k), (b, c, k)]
+        g = triangulation(n, rnd)
         edges = list(g.edges)
         g.remove_edges_from(rnd.sample(edges, rnd.randrange(3)))
         g.add_edges_from((rnd.randrange(n), rnd.randrange(n)) for _ in range(rnd.randrange(3)))
@@ -205,13 +256,13 @@ class TestIsPlanarWith:
             want = is_planar_slow(nodes, edges)
             assert got == want, (nodes, edges)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(small_graphs())
     def test_equals_minor_oracle(self, graph):
         nodes, edges = graph
         assert is_planar_with(edges[:-1], edges[-1]) == is_planar_slow(nodes, edges)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(larger_graphs())
     def test_equals_networkx(self, graph):
         g, edges = graph
@@ -229,6 +280,34 @@ class TestIsPlanarWith:
         k5 = list(itertools.combinations(range(2995, 3000), 2))
         assert is_planar_with(cycle, (0, 1500))
         assert not is_planar_with(cycle + k5[:-1], k5[-1])
+
+
+class TestIsPlanar:
+    """The test itself, on neighbour lists laid out as ``build_pmfg`` keeps them."""
+
+    @settings(max_examples=examples(300), deadline=None)
+    @given(neighbour_lists())
+    def test_equals_networkx_and_leaves_lists_unchanged(self, graph):
+        g, adj = graph
+        before = [list(nbrs) for nbrs in adj]
+        assert _is_planar(len(adj), adj) == nx.check_planarity(g)[0]
+        assert adj == before
+
+    def test_rejected_candidate_leaves_lists_unchanged(self):
+        # K3,3 on 0-2 and 3-5 with 2-5 appended last: build_pmfg pops the
+        # candidate from both lists and tests the next one on the same lists
+        adj = [[3, 4, 5], [3, 4, 5], [3, 4], [0, 1, 2], [0, 1, 2], [0, 1]]
+        adj[2].append(5)
+        adj[5].append(2)
+        before = [list(nbrs) for nbrs in adj]
+        assert not _is_planar(6, adj)
+        assert adj == before
+        adj[2].pop()
+        adj[5].pop()
+        adj[0].append(1)
+        adj[1].append(0)
+        assert _is_planar(6, adj)
+        assert adj == [[3, 4, 5, 1], [3, 4, 5, 0], [3, 4], [0, 1, 2], [0, 1, 2], [0, 1]]
 
 
 class TestBuildPmfg:
@@ -288,7 +367,7 @@ class TestBuildPmfg:
         m = matrix_from(tickers, values + values.T)
         assert build_pmfg(m).edges == networkx_pmfg_edges(m.tickers, m.values)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(tied_matrices(min_n=3, max_n=14, unique=True))
     def test_equals_networkx_loop_under_ties(self, m):
         assert build_pmfg(m).edges == networkx_pmfg_edges(m.tickers, m.values)

@@ -111,10 +111,28 @@ class DistanceMatrix:
 
     def to_delimited(self, delimiter: str = ",") -> str:
         """Matrix as delimited text with tickers on both axes; each value is
-        written as its ``repr``, so ``from_delimited`` reads back the same bits."""
+        written as its ``repr``, so ``from_delimited`` reads back the same bits.
+
+        Each pair's ``repr`` is formatted once: an entry below the diagonal
+        reuses its mirror's, unless the two are zeros of opposite sign (the
+        only entries that the symmetry check lets differ).
+        """
+        values = self.values
+        i, j = np.triu_indices(self.n, 1)
+        upper = list(map(repr, values[i, j].tolist()))
+        # the lower triangle row by row is the upper one column by column
+        lower = [upper[k] for k in np.lexsort((i, j)).tolist()]
+        signs = np.signbit(values)
+        for r, c in np.argwhere(np.tril(signs != signs.T, -1)).tolist():
+            lower[r * (r - 1) // 2 + c] = repr(float(values[r, c]))
+        diagonal = list(map(repr, np.diag(values).tolist()))
         lines = [delimiter.join(["", *self.tickers])]
-        for t, row in zip(self.tickers, self.values.tolist()):
-            lines.append(delimiter.join([t, *map(repr, row)]))
+        below = above = 0  # where row r starts in lower and in upper
+        for r, t in enumerate(self.tickers):
+            width = self.n - 1 - r
+            row = [t, *lower[below:below + r], diagonal[r], *upper[above:above + width]]
+            lines.append(delimiter.join(row))
+            below, above = below + r, above + width
         return "\n".join(lines) + "\n"
 
     def report(self) -> dict:

@@ -43,6 +43,14 @@ def ordered_edges(matrix: DistanceMatrix) -> list[tuple[str, str, float]]:
     Equal distances fall back to lexicographic (min ticker, max ticker)
     order so the construction is deterministic.
     """
+    names, lo, hi, dist = _edge_order(matrix)
+    return [(names[u], names[v], w) for u, v, w in zip(lo, hi, dist)]
+
+
+def _edge_order(matrix: DistanceMatrix):
+    """``(names, lo, hi, dist)``: the sorted distinct tickers, then for every
+    pair in ``ordered_edges`` order the positions in ``names`` of its smaller
+    and larger ticker and its distance, as lists."""
     names = sorted(set(matrix.tickers))
     rank = {t: k for k, t in enumerate(names)}
     ranks = np.array([rank[t] for t in matrix.tickers], dtype=np.int64)
@@ -51,27 +59,25 @@ def ordered_edges(matrix: DistanceMatrix) -> list[tuple[str, str, float]]:
     lo = np.minimum(ranks[i], ranks[j])
     hi = np.maximum(ranks[i], ranks[j])
     order = np.lexsort((hi, lo, dist))
-    return [
-        (names[u], names[v], w)
-        for u, v, w in zip(lo[order].tolist(), hi[order].tolist(), dist[order].tolist())
-    ]
+    return names, lo[order].tolist(), hi[order].tolist(), dist[order].tolist()
 
 
-def _node_index(matrix: DistanceMatrix) -> dict[str, int]:
-    """Position of each ticker; a repeated ticker would merge two nodes."""
-    index: dict[str, int] = {}
-    for k, ticker in enumerate(matrix.tickers):
-        if index.setdefault(ticker, k) != k:
+def _refuse_repeated_tickers(matrix: DistanceMatrix) -> None:
+    """A repeated ticker would merge two nodes."""
+    seen: set[str] = set()
+    for ticker in matrix.tickers:
+        if ticker in seen:
             raise ValidationError(f"{ticker}: ticker appears more than once")
-    return index
+        seen.add(ticker)
 
 
 def build_mst(matrix: DistanceMatrix) -> FilteredGraph:
     """Kruskal insertion over the ordered edge list; n-1 edges, acyclic."""
     if matrix.n < 2:
         raise ValueError("MST needs at least 2 nodes")
-    index = _node_index(matrix)
-    root = list(range(matrix.n))  # union-find forest, with path halving
+    _refuse_repeated_tickers(matrix)
+    names, lo, hi, dist = _edge_order(matrix)
+    root = list(range(matrix.n))  # union-find forest over names, with path halving
 
     def find(x: int) -> int:
         while root[x] != x:
@@ -79,11 +85,11 @@ def build_mst(matrix: DistanceMatrix) -> FilteredGraph:
         return x
 
     accepted = []
-    for u, v, w in ordered_edges(matrix):
-        a, b = find(index[u]), find(index[v])
+    for u, v, w in zip(lo, hi, dist):
+        a, b = find(u), find(v)
         if a != b:
             root[a] = b
-            accepted.append((u, v, w))
+            accepted.append((names[u], names[v], w))
             if len(accepted) == matrix.n - 1:
                 break
     return FilteredGraph(
@@ -315,19 +321,19 @@ def build_pmfg(matrix: DistanceMatrix) -> FilteredGraph:
     """
     if matrix.n < 3:
         raise ValueError("PMFG needs at least 3 nodes")
-    index = _node_index(matrix)
+    _refuse_repeated_tickers(matrix)
+    names, lo, hi, dist = _edge_order(matrix)
     target = 3 * (matrix.n - 2)
     accepted: list[tuple[str, str, float]] = []
-    adj: list[list[int]] = [[] for _ in range(matrix.n)]
-    for u, v, w in ordered_edges(matrix):
-        a, b = index[u], index[v]
+    adj: list[list[int]] = [[] for _ in range(matrix.n)]  # over names
+    for a, b, w in zip(lo, hi, dist):
         adj[a].append(b)
         adj[b].append(a)
         if not _is_planar(matrix.n, adj):
             adj[a].pop()
             adj[b].pop()
             continue
-        accepted.append((u, v, w))
+        accepted.append((names[a], names[b], w))
         if len(accepted) == target:
             break
     return FilteredGraph(

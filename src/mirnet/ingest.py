@@ -6,6 +6,7 @@ import csv
 import math
 import operator
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,7 +130,7 @@ def load_price_table(
         raise FormatError(f"{path}: empty file")
     lines = text.split("\n")  # open() has already turned \r\n and \r into \n
     header = [c.strip() for c in _cells(lines[0], delimiter)]
-    repeated = sorted({c for c in header if header.count(c) > 1})
+    repeated = sorted(c for c, k in Counter(header).items() if k > 1)
     if repeated:
         raise FormatError(f"{path}: repeated column names {repeated}")
     if date_column not in header:
@@ -149,23 +150,33 @@ def load_price_table(
                 "cannot carry"
             )
 
-    # The common table, with every field on every line, no quote and every
-    # price parseable, takes one pass over the lines and one loadtxt call;
-    # anything else is left to ``_scan``, with every error and dropped row.
+    # The common table, with no quote below the header, every field on every
+    # line and every price parseable, takes one loadtxt call over every
+    # column, which refuses a line of another width (the date cells are not
+    # parsed); anything else is left to ``_scan``, with every error and
+    # dropped row. loadtxt skips a blank line, so the row count must match.
     body = lines[1:-1] if lines[-1] == "" else lines[1:]
     table = None
-    if body and all(
-        line.count(delimiter) == len(price_cols) and '"' not in line for line in body
-    ):
+    if body and text.find('"', len(lines[0])) < 0:
         try:
-            table = _loadtxt(body, price_cols, delimiter)
+            table = np.loadtxt(
+                body,
+                dtype=float,
+                delimiter=delimiter,
+                comments=None,
+                converters={date_idx: lambda cell: 0.0},
+                ndmin=2,
+            )
         except ValueError:
             pass
-    if table is None:
+    if table is None or table.shape != (len(body), len(header)):
+        table = None
         kept, linenos, dates, dropped, width_error = _scan(
             path, lines, header, price_cols, date_idx, delimiter
         )
     else:
+        # the price columns, copied once in the layout of the series below
+        table = table.T[price_cols].T
         kept, linenos, dropped, width_error = body, range(2, len(body) + 2), [], None
         dates = [line.split(delimiter, date_idx + 1)[date_idx].strip() for line in body]
 

@@ -108,6 +108,15 @@ def brute_match_lengths(seq) -> list[int]:
     return lam
 
 
+def per_cell_delimited(matrix, delimiter=",") -> str:
+    """The writer ``DistanceMatrix.to_delimited`` replaced: every cell's own
+    ``repr``, row by row."""
+    lines = [delimiter.join(["", *matrix.tickers])]
+    for t, row in zip(matrix.tickers, matrix.values.tolist()):
+        lines.append(delimiter.join([t, *map(repr, row)]))
+    return "\n".join(lines) + "\n"
+
+
 def sorted_pair_edges(tickers, values) -> list[tuple[str, str, float]]:
     """Every pair as (min ticker, max ticker, distance), sorted as tuples."""
     n = len(tickers)
@@ -118,6 +127,25 @@ def sorted_pair_edges(tickers, values) -> list[tuple[str, str, float]]:
             edges.append((u, v, float(values[i][j])))
     edges.sort(key=lambda e: (e[2], e[0], e[1]))
     return edges
+
+
+def kruskal_edges(tickers, values) -> list[tuple[str, str, float]]:
+    """Kruskal over ``sorted_pair_edges``: a pair is kept iff its endpoints
+    lie in different components, which are relabelled in full on each merge,
+    until n-1 pairs are kept."""
+    component = {t: t for t in tickers}
+    accepted = []
+    for u, v, w in sorted_pair_edges(tickers, values):
+        if len(accepted) == len(tickers) - 1:
+            break
+        old, new = component[u], component[v]
+        if old == new:
+            continue
+        for t in tickers:
+            if component[t] == old:
+                component[t] = new
+        accepted.append((u, v, w))
+    return accepted
 
 
 def networkx_pmfg_edges(tickers, values) -> list[tuple[str, str, float]]:

@@ -22,6 +22,7 @@ from mirnet.errors import (
     ValidationError,
 )
 from mirnet.ingest import ReturnSeries, SymbolSequence, discretize
+from oracles import per_cell_delimited
 
 
 def seq(name, symbols, alpha=4):
@@ -376,7 +377,42 @@ def printed_matrices(draw):
     return DistanceMatrix(tuple(tickers), "imported", values + values.T)
 
 
+@st.composite
+def signed_zero_matrices(draw):
+    """Matrices on 1 to 12 tickers that the constructor accepts, with zeros of
+    either sign: a zero's mirror may have the other sign, in either triangle,
+    and the diagonal holds 0.0 and -0.0."""
+    n = draw(st.integers(1, 12))
+    pairs = n * (n - 1) // 2
+    upper = np.array(
+        draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(0, 2),
+                      min_size=pairs, max_size=pairs)),
+        dtype=float,
+    )
+    flip = np.array(draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs)), dtype=bool)
+    values = np.diag(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n)))
+    i, j = np.triu_indices(n, 1)
+    values[i, j] = upper
+    values[j, i] = np.where(flip & (upper == 0), -upper, upper)
+    return DistanceMatrix(tuple(f"T{k}" for k in range(n)), "imported", values)
+
+
 class TestDistanceMatrix:
+    @settings(deadline=None)
+    @given(signed_zero_matrices(), st.sampled_from([",", ";", "\t"]))
+    def test_delimited_equals_per_cell_writer(self, m, delimiter):
+        assert m.to_delimited(delimiter) == per_cell_delimited(m, delimiter)
+
+    def test_delimited_equals_per_cell_writer_at_250_nodes(self):
+        rng = np.random.default_rng(19)
+        values = rng.random((250, 250))
+        values = values + values.T
+        np.fill_diagonal(values, 0.0)
+        values[5, 5] = values[40, 3] = values[3, 40] = values[200, 249] = -0.0
+        values[249, 200] = values[7, 180] = values[180, 7] = 0.0
+        m = DistanceMatrix(tuple(f"SYN{k:03d}" for k in range(250)), "imported", values)
+        assert m.to_delimited() == per_cell_delimited(m)
+
     @settings(max_examples=100, deadline=None)
     @given(printed_matrices(), st.sampled_from([",", ";", "\t"]))
     def test_delimited_round_trip(self, m, delimiter):

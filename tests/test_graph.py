@@ -3,7 +3,7 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mirnet.distance import DistanceMatrix
@@ -21,6 +21,7 @@ from mirnet.graph import (
 
 from oracles import (
     is_planar_slow,
+    kruskal_edges,
     min_spanning_tree_weight,
     networkx_graphml,
     networkx_pmfg_edges,
@@ -40,14 +41,14 @@ def matrix_from(tickers, values, method="correlation"):
 
 
 @st.composite
-def tied_matrices(draw, min_n=2, max_n=16, unique=False):
-    """Matrices whose distances come from three values, so ties are common;
+def tied_matrices(draw, min_n=2, max_n=16, unique=False, levels=(0.1, 0.5, 0.9)):
+    """Matrices whose distances come from three ``levels``, so ties are common;
     tickers do not sort in index order and, unless unique, may repeat."""
     n = draw(st.integers(min_n, max_n))
     pool = ["A", "AA", "B", "Z", "a", "b10", "b2", "\u00e9"] + [f"T{k}" for k in range(max_n)]
     tickers = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n, unique=unique))
     upper = draw(
-        st.lists(st.sampled_from([0.1, 0.5, 0.9]), min_size=n * (n - 1) // 2,
+        st.lists(st.sampled_from(levels), min_size=n * (n - 1) // 2,
                  max_size=n * (n - 1) // 2)
     )
     values = np.zeros((n, n))
@@ -220,6 +221,13 @@ class TestBuildMst:
         m = matrix_from(["A", "B", "A"], np.ones((3, 3)) - np.eye(3))
         with pytest.raises(ValidationError, match="A: ticker appears more than once"):
             build_mst(m)
+
+    @settings(max_examples=examples(200), deadline=None)
+    @given(tied_matrices(unique=True, levels=(0.1, 0.2, 0.3)))
+    @example(matrix_from("BA", [[0, 0.2], [0.2, 0]]))
+    def test_equals_kruskal_oracle_under_ties(self, m):
+        # same edges in the same insertion order
+        assert build_mst(m).edges == kruskal_edges(m.tickers, m.values)
 
 
 class TestIsPlanarWith:

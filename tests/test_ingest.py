@@ -103,6 +103,11 @@ class TestLoadPriceTable:
             load_price_table(path)
         assert "'B'" not in str(exc.value)
 
+    def test_repeated_tickers_listed_sorted(self, tmp_path):
+        path = write(tmp_path, "date,C,B,A,C,D,B\n2020-01-01,1,2,3,4,5,6\n")
+        with pytest.raises(FormatError, match=r"prices\.csv: repeated column names \['B', 'C'\]$"):
+            load_price_table(path)
+
     @pytest.mark.parametrize(
         "header, delimiter, column, ticker",
         [
@@ -180,6 +185,42 @@ class TestLoadPriceTable:
         path = write(tmp_path, "date,A,B\n2020-01-01,1,2\n2020-01-02,1.1\n")
         with pytest.raises(FormatError, match=r"prices\.csv:3: expected 3 fields, got 2"):
             load_price_table(path)
+
+    @pytest.mark.parametrize(
+        "rows, got",
+        [(["1,2,3,2020-01-02", "1,2020-01-03"], 4), (["1,2020-01-02", "1,2,3,2020-01-03"], 2)],
+        ids=["long-then-short", "short-then-long"],
+    )
+    def test_date_last_long_and_short_rows(self, tmp_path, rows, got):
+        # the table's delimiter count is right, but two lines have the wrong
+        # width; the first of them is named
+        path = write(tmp_path, "\n".join(["A,B,date", "1,2,2020-01-01", *rows, "1,2,2020-01-04"]))
+        with pytest.raises(FormatError) as exc:
+            load_price_table(path)
+        assert str(exc.value) == f"{path}:3: expected 3 fields, got {got}"
+
+    @pytest.mark.parametrize("row, dropped", [("2020-01-03,1.2,2.2", None), ("2020-01-03,1.2,", 6)])
+    def test_blank_and_whitespace_lines_mid_body(self, tmp_path, row, dropped):
+        path = write(
+            tmp_path,
+            f"date,A,B\n2020-01-01,1,2\n\n2020-01-02,1.1,2.1\n \t \n{row}\n2020-01-04,1.3,2.3\n",
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            series = load(path)
+        dates = ["2020-01-01", "2020-01-02", "2020-01-03", "2020-01-04"]
+        warned = []
+        if dropped:
+            dates.remove("2020-01-03")
+            warned = [f"dropped 1 row(s) with a missing price, the first at {path}:{dropped}"]
+        assert [str(w.message) for w in caught] == warned
+        assert series[0].dates == tuple(dates)
+
+    def test_quoted_header_with_unquoted_body(self, tmp_path):
+        path = write(tmp_path, 'date,"A",B\n2020-01-01,1,2\n2020-01-02,1.5,2.5\n')
+        series = load(path)
+        assert [s.ticker for s in series] == ["A", "B"]
+        assert series[0].prices.tolist() == [1.0, 1.5]
 
     @pytest.mark.parametrize(
         "body",

@@ -83,7 +83,7 @@ def usable_cpus() -> int:
 
 def free_cpus() -> int:
     """CPUs for the first-passage solves: the usable CPUs when BLAS runs one
-    thread, else 1, in every process alike (a pool worker included).
+    thread, else 1, in every process alike (a combination lane included).
 
     The BLAS thread count is the first positive integer among
     ``BLAS_THREAD_VARS``; with none set, BLAS takes every usable CPU. Only

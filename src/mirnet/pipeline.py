@@ -161,35 +161,89 @@ def _combination_results(cfg: AnalysisConfig, combos: list[dict], returns) -> li
     """``_combination`` of each of ``combos``, in that order.
 
     With more than one combination, more than one usable CPU and the ``fork``
-    start method, they run in a pool of min(combinations, CPUs) forked
-    workers, MIR first as the longest; otherwise, and in a daemonic process
-    (which may not start processes), one after another here. A worker
-    threads its first-passage solves as the calling process would
+    start method, they run in min(combinations, CPUs) forked lanes
+    (``_lane_results``); otherwise, and in a daemonic process (which may not
+    start processes), one after another here. A lane threads its
+    first-passage solves as the calling process would
     (``centrality.free_cpus``)."""
-    workers = min(len(combos), centrality_mod.usable_cpus())
-    if workers > 1:
+    lanes = min(len(combos), centrality_mod.usable_cpus())
+    if lanes > 1:
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
         if ("fork" in multiprocessing.get_all_start_methods()
                 and not multiprocessing.current_process().daemon):
-            fork = multiprocessing.get_context("fork")
-            longest_first = sorted(
-                range(len(combos)), key=lambda i: combos[i]["method"] == "correlation"
-            )
-            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-                futures = {i: pool.submit(_recorded_combination, cfg, combos[i], returns)
-                           for i in longest_first}
-                recorded = [futures[i].result() for i in range(len(combos))]
+            recorded = _lane_results(multiprocessing.get_context("fork"), lanes,
+                                     cfg, combos, returns)
             for _, caught in recorded:
                 _reissue(caught)
             return [result for result, _ in recorded]
     return [_combination(cfg, combo, returns) for combo in combos]
 
 
+def _lane_results(fork, lanes: int, cfg: AnalysisConfig, combos: list[dict], returns) -> list:
+    """``_recorded_combination`` of each of ``combos``, in that order, from
+    ``lanes`` forked children that share one queue, MIR first as the longest.
+
+    The inputs reach the lanes through the fork. Each lane sends its results
+    over a one-way pipe of its own, and this process reads every pipe as soon
+    as it is ready: a pipe holds 64 KB, so a lane whose pipe went unread would
+    block in ``send`` instead of taking the next combination. A lane that
+    exits before its combinations arrive (killed, say) raises
+    ``RuntimeError`` naming them; no lane outlives the call."""
+    from multiprocessing.connection import wait
+
+    queue = sorted(range(len(combos)), key=lambda i: combos[i]["method"] == "correlation")
+    taken = fork.Value("i", 0)
+    readers, recorded = {}, {}  # readers: each open pipe's lane
+    try:
+        for _ in range(lanes):
+            reader, writer = fork.Pipe(duplex=False)
+            child = fork.Process(target=_lane, args=(writer, taken, queue, cfg, combos, returns))
+            child.start()
+            readers[reader] = child
+            writer.close()
+        exitcode = 0
+        while readers and not exitcode:
+            for reader in wait(list(readers)):
+                try:
+                    index, result, caught = reader.recv()
+                except (EOFError, OSError):  # OSError: the lane died within a message
+                    child = readers.pop(reader)
+                    reader.close()
+                    child.join()
+                    exitcode = exitcode or child.exitcode
+                else:
+                    recorded[index] = result, caught
+        missing = [_combo_name(combo) for i, combo in enumerate(combos) if i not in recorded]
+        if missing:
+            raise RuntimeError(f"a combination lane exited with code {exitcode} before "
+                               f"sending {', '.join(missing)}")
+        return [recorded[i] for i in range(len(combos))]
+    finally:
+        for reader, child in readers.items():
+            child.kill()
+            child.join()
+            reader.close()
+
+
+def _lane(writer, taken, queue: list[int], cfg: AnalysisConfig, combos: list[dict],
+          returns) -> None:
+    """A forked lane: take the next combination from ``queue`` until it runs
+    out, and send each one's index, result and warnings over ``writer``."""
+    while True:
+        with taken.get_lock():
+            position = taken.value
+            taken.value += 1
+        if position >= len(queue):
+            break
+        index = queue[position]
+        writer.send((index, *_recorded_combination(cfg, combos[index], returns)))
+    writer.close()
+
+
 def _recorded_combination(cfg: AnalysisConfig, combo: dict, returns) -> tuple:
-    """``_combination`` in a worker, and the warnings that passed the filters
-    the worker inherited (a warning they turn into an error fails the
+    """``_combination`` in a lane, and the warnings that passed the filters
+    the lane inherited (a warning they turn into an error fails the
     combination here, as in the calling process)."""
     with warnings.catch_warnings(record=True) as caught:
         result = _combination(cfg, combo, returns)
@@ -197,7 +251,7 @@ def _recorded_combination(cfg: AnalysisConfig, combo: dict, returns) -> tuple:
 
 
 def _reissue(caught: list[tuple]) -> None:
-    """Issue a worker's warnings again here, on behalf of the module whose
+    """Issue a lane's warnings again here, on behalf of the module whose
     line raised them, so that this process's filters and once-per-line
     registries treat them as they would a serial run's."""
     modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}

@@ -5,6 +5,7 @@ same code path as the console script while keeping stdout/stderr capturable.
 """
 
 import json
+import multiprocessing
 import os
 import warnings
 
@@ -88,7 +89,7 @@ def test_run_where_every_combination_fails_exits_four(tmp_path, capsys):
 def test_run_with_a_killed_worker_exits_three_and_publishes_nothing(
     price_file, tmp_path, monkeypatch, capsys
 ):
-    # two usable CPUs fork a worker per combination; the MIR one dies
+    # two usable CPUs fork a lane per combination; the MIR one dies
     combination = pipeline._combination
 
     def dies_on_mir(cfg, combo, returns):
@@ -102,8 +103,10 @@ def test_run_with_a_killed_worker_exits_three_and_publishes_nothing(
     code = cli.main(["run", "--input", str(price_file), "--output-dir", str(out),
                      "--alphabet-sizes", "4"])
     assert code == cli.EXIT_INTERNAL == 3
-    assert "internal error: BrokenProcessPool" in capsys.readouterr().err
+    assert "internal error: RuntimeError: a combination lane exited with code 1" \
+        in capsys.readouterr().err
     assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_run_missing_input_exits_one(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -57,13 +59,20 @@ class TestRuntimeDependencies:
         result = run_python("import sys, mirnet; print('networkx' in sys.modules)", tmp_path)
         assert result.stdout.strip() == "False", result.stderr
 
-    def test_import_leaves_out_the_process_pool(self, tmp_path):
-        # the pool's modules are imported only when a run forks workers
-        code = ("import sys, mirnet; "
-                "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
-                "if m in sys.modules])")
+    def test_import_leaves_out_the_process_pool(self, price_file, tmp_path):
+        # multiprocessing is imported only when a run forks lanes, and
+        # concurrent.futures' process pool not even then
+        code = f"""if True:
+            import os, sys
+            from mirnet.pipeline import AnalysisConfig, run_pipeline
+            names = ("multiprocessing", "concurrent.futures.process")
+            print([m for m in names if m in sys.modules])
+            os.sched_getaffinity = lambda pid: {{0, 1}}
+            run_pipeline(AnalysisConfig({str(price_file)!r}, "out", alphabet_sizes=[4]))
+            print([m for m in names if m in sys.modules])
+        """
         result = run_python(code, tmp_path)
-        assert result.stdout.strip() == "[]", result.stderr
+        assert result.stdout.split("\n")[:2] == ["[]", "['multiprocessing']"], result.stderr
 
     def test_pipeline_and_export_run_without_networkx(self, price_file, tmp_path):
         # a None entry in sys.modules makes every import of networkx fail
@@ -397,8 +406,24 @@ class TestPublish:
 
 def on_cpus(monkeypatch, cpus: int) -> None:
     """Make ``cpus`` CPUs usable for the runs that follow: one keeps a run
-    serial, more let it fork workers, whatever the machine has."""
+    serial, more let it fork lanes, whatever the machine has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Fail the test if the block outlasts ``seconds`` (with no ``OSError``,
+    which ``multiprocessing`` would take for a child not yet reaped)."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def table(directory: Path, n_instruments: int, n_rows: int) -> Path:
@@ -421,7 +446,7 @@ def caught_warnings(cfg: AnalysisConfig, action: str) -> tuple[dict, list[tuple]
 
 class TestCombinationPool:
     """With more than one usable CPU and combination, the combinations run in
-    forked workers; with one CPU the same run stays in the calling process."""
+    forked lanes; with one CPU the same run stays in the calling process."""
 
     @pytest.mark.parametrize("shape, status, split", [
         ((8, 700), "ok", False),
@@ -546,7 +571,82 @@ class TestCombinationPool:
 
         monkeypatch.setattr(pipeline, "_combination", dies_on_mir)
         on_cpus(monkeypatch, 3)
-        with pytest.raises(BrokenProcessPool):
+        # the correlation lane may not have sent its result when the MIR one dies
+        with pytest.raises(RuntimeError,
+                           match=r"exited with code 1 before sending (correlation, )?mir_a4$"):
             run_pipeline(small_config(price_file, out))
         assert multiprocessing.active_children() == []
         assert list(out.iterdir()) == []
+
+    def test_more_combinations_than_lanes(self, price_file, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = small_config(price_file, out, methods=["correlation", "mir", "mir_prime"],
+                           alphabet_sizes=[4, 10])
+        ran = tmp_path / "ran.txt"
+        combination = pipeline._combination
+
+        def logged(cfg, combo, returns):
+            with ran.open("a") as f:
+                f.write(f"{os.getpid()} {pipeline._combo_name(combo)}\n")
+            return combination(cfg, combo, returns)
+
+        monkeypatch.setattr(pipeline, "_combination", logged)
+        runs = []
+        for cpus in (2, 1):
+            ran.write_text("")
+            on_cpus(monkeypatch, cpus)
+            assert run_pipeline(cfg)["status"] == "ok"
+            runs.append(snapshot(out))
+            if cpus == 2:
+                pids, names = zip(*(line.split() for line in ran.read_text().splitlines()))
+        assert runs[0] == runs[1]
+        assert sorted(names) == sorted(pipeline._combo_name(c) for c in cfg.combinations())
+        assert len(names) == 5 and len(set(pids)) <= 2
+        assert str(os.getpid()) not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_lane_dying_after_one_result_names_only_the_rest(
+        self, price_file, tmp_path, monkeypatch
+    ):
+        # two lanes share mir_a4, mir_a10, then correlation: the lane that
+        # takes correlation has sent one result, and dies after the other
+        # lane has had time to send its own
+        out = tmp_path / "out"
+        combination = pipeline._combination
+
+        def dies_on_correlation(cfg, combo, returns):
+            if combo["method"] == "correlation":
+                time.sleep(1)
+                os._exit(1)
+            return combination(cfg, combo, returns)
+
+        monkeypatch.setattr(pipeline, "_combination", dies_on_correlation)
+        on_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"exited with code 1 before sending correlation$"):
+            run_pipeline(small_config(price_file, out, alphabet_sizes=[4, 10]))
+        assert multiprocessing.active_children() == []
+        assert list(out.iterdir()) == []
+
+    def test_lanes_sending_more_than_a_pipe_holds(self, price_file, tmp_path, monkeypatch):
+        # each result outgrows a pipe's buffer many times over, so a lane
+        # blocks in send until this process reads its pipe
+        out = tmp_path / "out"
+        cfg = small_config(price_file, out, alphabet_sizes=[4, 10])
+        combination = pipeline._combination
+
+        def padded(cfg, combo, returns):
+            texts, centralities, entry = combination(cfg, combo, returns)
+            name = pipeline._combo_name(combo)
+            return texts | {f"{name}_padding.txt": name * (2**20 // len(name) + 1)}, \
+                centralities, entry
+
+        monkeypatch.setattr(pipeline, "_combination", padded)
+        runs = []
+        for cpus in (2, 1):
+            on_cpus(monkeypatch, cpus)
+            with deadline(60):
+                assert run_pipeline(cfg)["status"] == "ok"
+            runs.append(snapshot(out))
+        assert runs[0] == runs[1]
+        assert len(runs[0]["mir_a10_padding.txt"]) > 2**20
+        assert multiprocessing.active_children() == []

@@ -117,18 +117,19 @@ def load_price_table(
     outputs are comma-delimited whatever the input's delimiter. Rows where
     any price is missing are dropped from all series, so every returned
     series shares an identical trading calendar; one ``UserWarning`` gives
-    their count and the first one's ``path:line``. The prices of the kept
-    rows are parsed in one pass of numpy's C parser (``np.loadtxt``), and
-    the calendar's order is checked once per table.
+    their count and the first one's ``path:line``. The kept rows, quoted or
+    not, are parsed in one pass of numpy's C parser (``np.loadtxt``), dates
+    included, and the calendar's order is checked once per table.
     """
     try:
         with open(path) as fh:
-            text = fh.read()
+            # open() has already turned \r\n and \r into \n; the text itself
+            # is not kept next to its lines
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    if not text:
+    if lines == [""]:
         raise FormatError(f"{path}: empty file")
-    lines = text.split("\n")  # open() has already turned \r\n and \r into \n
     header = [c.strip() for c in _cells(lines[0], delimiter)]
     repeated = sorted(c for c, k in Counter(header).items() if k > 1)
     if repeated:
@@ -150,41 +151,11 @@ def load_price_table(
                 "cannot carry"
             )
 
-    # The common table, with no quote below the header, every field on every
-    # line and every price parseable, takes one loadtxt call over every
-    # column, which refuses a line of another width (the date cells are not
-    # parsed); anything else is left to ``_scan``, with every error and
-    # dropped row. loadtxt skips a blank line, so the row count must match.
-    body = lines[1:-1] if lines[-1] == "" else lines[1:]
-    table = None
-    if body and text.find('"', len(lines[0])) < 0:
-        try:
-            table = np.loadtxt(
-                body,
-                dtype=float,
-                delimiter=delimiter,
-                comments=None,
-                converters={date_idx: lambda cell: 0.0},
-                ndmin=2,
-            )
-        except ValueError:
-            pass
-    if table is None or table.shape != (len(body), len(header)):
-        table = None
-        kept, linenos, dates, dropped, width_error = _scan(
-            path, lines, header, price_cols, date_idx, delimiter
-        )
-    else:
-        # the price columns, copied once in the layout of the series below
-        table = table.T[price_cols].T
-        kept, linenos, dropped, width_error = body, range(2, len(body) + 2), [], None
-        dates = [line.split(delimiter, date_idx + 1)[date_idx].strip() for line in body]
-
-    # parsed before the short row's error is raised: a bad price above that
-    # row comes first in reading order
-    prices = _price_table(
-        path, kept, linenos, dates, tickers, price_cols, delimiter, table
+    linenos, dates, columns, dropped, width_error = _price_table(
+        path, lines, header, price_cols, date_idx, delimiter
     )
+    # raised after the prices are parsed: a bad price above the short row
+    # comes first in reading order
     if width_error is not None:
         raise width_error
     if dropped:
@@ -198,21 +169,112 @@ def load_price_table(
             f"{path}: only {len(dates)} usable rows after alignment (need >= 2)"
         )
     calendar = _calendar(dates, lambda k: f"{path}:{linenos[k]}")
-    columns = np.ascontiguousarray(prices.T)
     return [
         PriceSeries(ticker=t, dates=calendar, prices=columns[j])
         for j, t in enumerate(tickers)
     ]
 
 
-def _scan(path, lines, header, price_cols, date_idx, delimiter):
-    """Sort the lines after the header, up to the first one of the wrong
-    width: the kept lines with their line numbers and dates, the line
-    numbers of the rows dropped for a missing price, and the width error,
-    if any. Blank lines are skipped."""
+def _price_table(path, lines, header, price_cols, date_idx, delimiter):
+    """The kept lines' numbers, dates and prices (one row per ticker), the
+    numbers of the lines dropped for a missing price, and the width error, if
+    any. A cell numpy cannot parse raises FormatError, a value that is not a
+    finite positive number raises ValidationError; either names the first
+    offending cell in reading order."""
+
+    def check(values, dates, row=0, col=0):
+        # values: a block of the prices, one row per line, whose first cell
+        # is (row, col); dates: the block's dates
+        bad = ~(np.isfinite(values) & (values > 0))
+        if bad.any():
+            r, j = divmod(int(bad.argmax()), bad.shape[1])
+            cell = _cells(kept[row + r], delimiter)[price_cols[col + j]].strip()
+            raise ValidationError(
+                f"{path}:{linenos[row + r]}: non-positive price {cell} for ticker "
+                f"{header[price_cols[col + j]]} on {dates[r]}"
+            )
+
+    # Every table goes through one _loadtxt pass over every column, which
+    # refuses a line of another width. Only when that pass raises or skips a
+    # line (loadtxt skips a blank one) does _scan pick the lines to keep, and
+    # they go through the same pass.
+    body = lines[1:-1] if lines[-1] == "" else lines[1:]
+    kept, linenos, dropped, width_error = body, range(2, len(body) + 2), [], None
+    table = None
+    if any(body):  # loadtxt warns about a body of blank lines
+        try:
+            dates, table = _loadtxt(body, date_idx, delimiter)
+        except ValueError:
+            pass
+    if table is None or table.shape != (len(body), len(header)):
+        kept, linenos, dropped, width_error = _scan(path, lines, header, price_cols, delimiter)
+        if not kept:
+            return linenos, [], np.empty((len(price_cols), 0)), dropped, width_error
+        try:
+            dates, table = _loadtxt(kept, date_idx, delimiter)
+        except ValueError:
+            # Go row by row, then cell by cell in the failing row, so that the
+            # error names the first bad cell in reading order.
+            for r, line in enumerate(kept):
+                try:
+                    date, row = _loadtxt([line], date_idx, delimiter)
+                except ValueError:
+                    cells = _cells(line, delimiter)
+                    for j, i in enumerate(price_cols):
+                        try:
+                            date, value = _loadtxt([line], date_idx, delimiter, [date_idx, i])
+                        except ValueError as exc:
+                            raise FormatError(
+                                f"{path}:{linenos[r]}: unparseable price "
+                                f"{cells[i].strip()!r} for {header[i]}"
+                            ) from exc
+                        check(value[:, 1:], date, r, j)
+                    raise
+                check(row[:, price_cols], date, r)
+            raise
+    # the price columns, copied once in the layout of the series; the whole
+    # table is freed before the check allocates
+    columns = table.T[price_cols]
+    del table
+    check(columns.T, dates)
+    return linenos, dates, columns, dropped, width_error
+
+
+def _loadtxt(lines, date_idx, delimiter, usecols=None):
+    """numpy's C parser over ``lines`` (one row per line, quoted cells
+    unquoted) and over every column unless ``usecols`` names some: the date
+    cells as the parser unquoted them, stripped, and the float table, whose
+    date column reads 0."""
+    # filled in place: a list that grew while loadtxt grows its table
+    # fragmented the heap and raised peak memory
+    dates = [""] * len(lines)
+    rows = iter(range(len(lines)))
+
+    def date(cell):
+        dates[next(rows)] = cell.strip()
+        return 0.0
+
+    table = np.loadtxt(
+        lines,
+        dtype=float,
+        delimiter=delimiter,
+        comments=None,
+        quotechar='"',
+        converters={date_idx: date},
+        usecols=usecols,
+        ndmin=2,
+    )
+    del dates[len(table):]  # loadtxt skips blank lines
+    return dates, table
+
+
+def _scan(path, lines, header, price_cols, delimiter):
+    """Pick the lines after the header to keep, up to the first one of the
+    wrong width: the kept lines with their line numbers, the line numbers of
+    the rows dropped for a missing price, and the width error, if any. Blank
+    lines are skipped."""
     kept: list[str] = []
     linenos: list[int] = []
-    dates: list[str] = []
     dropped: list[int] = []
     width_error = None
     for lineno, line in enumerate(lines[1:], start=2):
@@ -232,8 +294,7 @@ def _scan(path, lines, header, price_cols, date_idx, delimiter):
             break
         kept.append(line)
         linenos.append(lineno)
-        dates.append(cells[date_idx].strip())
-    return kept, linenos, dates, dropped, width_error
+    return kept, linenos, dropped, width_error
 
 
 def _cells(line: str, delimiter: str) -> list[str]:
@@ -241,68 +302,6 @@ def _cells(line: str, delimiter: str) -> list[str]:
     if '"' in line:
         return next(csv.reader([line], delimiter=delimiter), [])
     return line.split(delimiter)
-
-
-def _loadtxt(lines: list[str], columns: list[int], delimiter: str) -> np.ndarray:
-    """numpy's C parser over ``columns`` of ``lines``: one row per line."""
-    return np.loadtxt(
-        lines,
-        dtype=float,
-        delimiter=delimiter,
-        usecols=columns,
-        comments=None,
-        quotechar='"',
-        ndmin=2,
-    )
-
-
-def _price_table(path, kept, linenos, dates, tickers, price_cols, delimiter, table):
-    """The price cells of the kept lines as a (rows, tickers) array, parsed
-    here unless ``table`` already holds them.
-
-    A cell numpy cannot parse raises FormatError, a value that is not a
-    finite positive number (``loadtxt`` reads ``nan`` and ``inf``) raises
-    ValidationError; either names the first offending cell in reading order.
-    """
-    if not kept:
-        return np.empty((0, len(price_cols)))
-
-    def check(values, row, col=0):
-        # values: a block of the table whose first cell is (row, col)
-        bad = ~(np.isfinite(values) & (values > 0))
-        if bad.any():
-            r, j = divmod(int(bad.argmax()), bad.shape[1])
-            r, j = r + row, j + col
-            cell = _cells(kept[r], delimiter)[price_cols[j]].strip()
-            raise ValidationError(
-                f"{path}:{linenos[r]}: non-positive price {cell} for ticker "
-                f"{tickers[j]} on {dates[r]}"
-            )
-
-    try:
-        table = _loadtxt(kept, price_cols, delimiter) if table is None else table
-    except ValueError:
-        # Go row by row, then cell by cell in the failing row, so that the
-        # error names the first bad cell in reading order.
-        for r, line in enumerate(kept):
-            try:
-                row = _loadtxt([line], price_cols, delimiter)
-            except ValueError:
-                cells = _cells(line, delimiter)
-                for j, i in enumerate(price_cols):
-                    try:
-                        value = _loadtxt([line], [i], delimiter)
-                    except ValueError as exc:
-                        raise FormatError(
-                            f"{path}:{linenos[r]}: unparseable price "
-                            f"{cells[i].strip()!r} for {tickers[j]}"
-                        ) from exc
-                    check(value, r, j)
-                raise
-            check(row, r)
-        raise
-    check(table, 0)
-    return table
 
 
 def log_returns(series: PriceSeries) -> ReturnSeries:

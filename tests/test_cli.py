@@ -266,6 +266,12 @@ def test_entropy_estimator_choice(estimator, price_file, capsys):
     ]
 
 
+def test_entropy_requires_input(capsys):
+    code = cli.main(["entropy", "SYN01"])
+    assert code == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: --input is required\n"
+
+
 def test_entropy_rejects_unknown_estimator(price_file, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["entropy", "--input", str(price_file), "--estimator", "lempel", "SYN01"])

@@ -174,6 +174,16 @@ class TestBuildMatrix:
         iu = np.triu_indices(15, 1)
         assert len(m.values[iu]) == 105
 
+    def test_correlation_needs_two_observations(self):
+        series = [ReturnSeries(t, np.array([0.1])) for t in "ABC"]
+        with pytest.raises(AlignmentError, match="at least 2 observations"):
+            build_matrix(series, "correlation")
+
+    def test_unknown_method_named(self):
+        series = [ReturnSeries(t, np.array([0.1, 0.2])) for t in "ABC"]
+        with pytest.raises(ValueError, match="^unknown method 'spearman'; "):
+            build_matrix(series, "spearman")
+
     def test_symmetry_and_zero_diagonal(self):
         rng = np.random.default_rng(8)
         syms = [random_seq(rng, f"T{i}", 4, 600) for i in range(6)]

@@ -198,6 +198,10 @@ class TestBuildMst:
         edges = {(u, v) for u, v, _ in build_mst(m).edges}
         assert edges == {("A", "B"), ("B", "C")}
 
+    def test_below_two_nodes_rejected(self):
+        with pytest.raises(ValueError, match="^MST needs at least 2 nodes$"):
+            build_mst(matrix_from("A", [[0]]))
+
     def test_tree_invariants(self):
         rng = np.random.default_rng(2)
         for n in (5, 9, 20):
@@ -322,6 +326,10 @@ class TestBuildPmfg:
     def test_edge_count_n15(self):
         m = random_matrix(np.random.default_rng(7), 15)
         assert len(build_pmfg(m).edges) == 39
+
+    def test_below_three_nodes_rejected(self):
+        with pytest.raises(ValueError, match="^PMFG needs at least 3 nodes$"):
+            build_pmfg(matrix_from("AB", [[0, 0.5], [0.5, 0]]))
 
     def test_n4_is_complete(self):
         m = random_matrix(np.random.default_rng(8), 4)

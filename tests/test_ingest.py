@@ -15,6 +15,7 @@ from mirnet.errors import FormatError, InsufficientDataError, MirnetError, Valid
 from mirnet.ingest import (
     PriceSeries,
     ReturnSeries,
+    SymbolSequence,
     discretize,
     load_price_table,
     log_returns,
@@ -270,6 +271,66 @@ class TestLoadPriceTable:
         assert series[0].prices.tolist() == [1.5, 1.25]
         assert series[1].dates == ("2020-01-01", "2020-01-02")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'date,A,B\n"2020-01-01","1.5","2"\n"2020-01-02","1.25","3"\n',
+            'date,A,B\n"Jan 02, 2020",1.5,2\n"Jan 03, 2020",1.25,3\n',
+        ],
+        ids=["fully-quoted", "delimiter-in-quoted-date"],
+    )
+    def test_quoted_table_takes_the_one_pass(self, tmp_path, monkeypatch, text):
+        def scan(*args):
+            raise AssertionError("_scan ran on a table the one pass can read")
+
+        monkeypatch.setattr(ingest, "_scan", scan)
+        series = load(write(tmp_path, text))
+        assert series[1].prices.tolist() == [2.0, 3.0]
+
+    def test_missing_price_is_still_scanned(self, tmp_path, monkeypatch):
+        scans = []
+        scan = ingest._scan
+
+        def counted(*args):
+            scans.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(ingest, "_scan", counted)
+        path = write(tmp_path, 'date,A,B\n"2020-01-01",1,2\n"2020-01-02",,3\n"2020-01-03",1,4\n')
+        with pytest.warns(UserWarning, match=r"dropped 1 row.*prices\.csv:3$"):
+            series = load(path)
+        assert len(scans) == 1
+        assert series[0].dates == ("2020-01-01", "2020-01-03")
+
+    def test_body_of_blank_lines_does_not_warn(self, tmp_path):
+        path = write(tmp_path, "date,A\n\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientDataError, match=r"prices\.csv: only 0 usable rows"):
+                load_price_table(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = write(tmp_path, "")
+        with pytest.raises(FormatError, match=r"prices\.csv: empty file$"):
+            load_price_table(path)
+
+    def test_no_ticker_column_rejected(self, tmp_path):
+        path = write(tmp_path, "date\n2020-01-01\n2020-01-02\n")
+        with pytest.raises(FormatError, match=r"prices\.csv: no ticker columns besides 'date'$"):
+            load_price_table(path)
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662", "0x10"])
+    def test_price_cells_are_what_numpy_parses(self, tmp_path, cell):
+        """A price cell is what numpy's C parser reads, so these three are
+        refused although Python's ``float`` reads ``1_000`` and ``١٢``.
+        The row-loop oracle keeps ``float``: it is the loader this one
+        replaced, and the property test compares both only on tables whose
+        cells the two parsers read alike."""
+        path = write(tmp_path, f"date,A,B\n2020-01-01,1,2\n2020-01-02,{cell},3\n")
+        with pytest.raises(FormatError) as exc:
+            load_price_table(path)
+        assert str(exc.value) == f"{path}:3: unparseable price {cell!r} for A"
+
 
 @pytest.fixture(scope="module")
 def bench_workloads():
@@ -338,7 +399,7 @@ def table_path(tmp_path_factory):
     return tmp_path_factory.mktemp("table") / "prices.csv"
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(table=price_tables())
 def test_loader_matches_row_loop_oracle(table_path, table):
     text, delimiter, dropped = table
@@ -366,6 +427,35 @@ class TestPriceSeriesInvariants:
     def test_duplicate_dates_rejected(self):
         with pytest.raises(ValidationError):
             PriceSeries("A", ("2020-01-01", "2020-01-01"), np.array([1.0, 2.0]))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="^A: 3 dates vs 2 prices$"):
+            PriceSeries("A", ("d1", "d2", "d3"), np.array([1.0, 2.0]))
+
+    def test_fewer_than_two_prices_rejected(self):
+        with pytest.raises(InsufficientDataError, match="^A: need at least 2 price rows, got 1$"):
+            PriceSeries("A", ("d1",), np.array([1.0]))
+
+    @pytest.mark.parametrize("price", [0.0, -2.0])
+    def test_non_positive_price_rejected(self, price):
+        with pytest.raises(ValidationError, match=f"^A: non-positive price {price} on d2$"):
+            PriceSeries("A", ("d1", "d2", "d3"), np.array([1.0, price, 3.0]))
+
+
+class TestReturnAndSymbolInvariants:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_return_rejected(self, value):
+        with pytest.raises(ValidationError, match="^A: non-finite return values$"):
+            ReturnSeries("A", np.array([0.1, value]))
+
+    def test_alphabet_below_two_rejected(self):
+        with pytest.raises(ValidationError, match="alphabet size must be >= 2, got 1"):
+            SymbolSequence("A", 1, np.array([0, 0]))
+
+    @pytest.mark.parametrize("symbol", [-1, 3])
+    def test_symbol_outside_alphabet_rejected(self, symbol):
+        with pytest.raises(ValidationError, match=r"^A: symbols outside \[0, 2\]$"):
+            SymbolSequence("A", 3, np.array([0, symbol, 2]))
 
 
 class TestLogReturns:

@@ -33,6 +33,10 @@ class TestMatchLengths:
         # no earlier occurrence, so its match length is 1
         assert match_lengths([0, 1, 0, 1]).tolist() == [1, 1, 3, 2]
 
+    def test_three_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="1-D or 2-D array, got 3-D$"):
+            match_lengths(np.zeros((2, 2, 3), dtype=np.int64))
+
     def test_all_distinct(self):
         assert match_lengths([4, 2, 7, 1, 9]).tolist() == [1] * 5
 
@@ -141,6 +145,11 @@ class TestEntropyRate:
         assert 1.9 <= est.value <= 2.1
         assert est.n == 100_000
         assert est.alphabet_size == 4
+
+    @pytest.mark.parametrize("allow_short", [False, True])
+    def test_one_symbol_rejected(self, allow_short):
+        with pytest.raises(InsufficientDataError, match="at least 2 symbols$"):
+            entropy_rate([1], 2, allow_short=allow_short)
 
     def test_constant_sequence_near_zero(self):
         est = entropy_rate(np.zeros(4096, dtype=int), alphabet_size=2)

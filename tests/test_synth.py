@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from mirnet.errors import ValidationError
 from mirnet.synth import SynthSpec, generate_price_table
 
 
@@ -19,3 +20,18 @@ def test_price_table_bytes_pinned(mode, digest):
     table = generate_price_table(SynthSpec(mode=mode, n_instruments=7, n_rows=120, seed=3))
     assert hashlib.sha256(table.encode()).hexdigest() == digest
 
+
+@pytest.mark.parametrize(
+    "fields, culprit",
+    [
+        ({"mode": "bogus"}, "unknown synth mode 'bogus'"),
+        ({"mode": "iid", "n_instruments": 1}, "at least 2 instruments"),
+        ({"mode": "iid", "n_rows": 2}, "at least 3 rows"),
+        ({"mode": "factor", "factor_loading": 1.0}, "factor_loading must be in (0, 1)"),
+        ({"mode": "nonlinear", "noise_scale": -0.1}, "noise_scale must be non-negative"),
+    ],
+)
+def test_spec_refusals_name_the_field(fields, culprit):
+    with pytest.raises(ValidationError) as exc:
+        SynthSpec(**fields)
+    assert culprit in str(exc.value)

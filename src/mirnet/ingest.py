@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
 import operator
 import warnings
@@ -117,20 +119,38 @@ def load_price_table(
     outputs are comma-delimited whatever the input's delimiter. Rows where
     any price is missing are dropped from all series, so every returned
     series shares an identical trading calendar; one ``UserWarning`` gives
-    their count and the first one's ``path:line``. The kept rows, quoted or
-    not, are parsed in one pass of numpy's C parser (``np.loadtxt``), dates
-    included, and the calendar's order is checked once per table.
+    their count and the first one's ``path:line``. The rows, quoted or not,
+    are parsed straight from the open file in one pass of numpy's C parser
+    (``np.loadtxt``), dates included, and the calendar's order is checked
+    once per table. Only a table that pass cannot take whole is read again
+    line by line, to drop rows and name the culprit by ``path:line``.
     """
     try:
         with open(path) as fh:
-            # open() has already turned \r\n and \r into \n; the text itself
-            # is not kept next to its lines
-            lines = fh.read().split("\n")
+            if not fh.seekable():  # a pipe: the line path must read it again
+                fh = io.StringIO(fh.read())
+            header, date_idx, price_cols = _header(path, fh.readline(), delimiter, date_column)
+            table = _direct_table(fh, len(header), price_cols, date_idx, delimiter)
+            if table is None:
+                fh.seek(0)
+                fh.readline()  # past the header
+                table = _line_table(path, fh, header, price_cols, date_idx, delimiter)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    if lines == [""]:
+    calendar, columns = table
+    return [
+        PriceSeries(ticker=header[i], dates=calendar, prices=columns[j])
+        for j, i in enumerate(price_cols)
+    ]
+
+
+def _header(path, line, delimiter, date_column):
+    """The column names of the header ``line``, the date column's index and
+    the ticker columns' indices; FormatError if the header is unusable."""
+    if not line:
         raise FormatError(f"{path}: empty file")
-    header = [c.strip() for c in _cells(lines[0], delimiter)]
+    # open() has already turned \r\n and \r into \n
+    header = [c.strip() for c in _cells(line.removesuffix("\n"), delimiter)]
     repeated = sorted(c for c, k in Counter(header).items() if k > 1)
     if repeated:
         raise FormatError(f"{path}: repeated column names {repeated}")
@@ -140,8 +160,7 @@ def load_price_table(
         )
     date_idx = header.index(date_column)
     price_cols = [i for i in range(len(header)) if i != date_idx]
-    tickers = [header[i] for i in price_cols]
-    if not tickers:
+    if not price_cols:
         raise FormatError(f"{path}: no ticker columns besides '{date_column}'")
     for i in price_cols:
         if not header[i] or "," in header[i] or '"' in header[i]:
@@ -150,37 +169,56 @@ def load_price_table(
                 "a comma or a double quote, which the comma-delimited outputs "
                 "cannot carry"
             )
-
-    linenos, dates, columns, dropped, width_error = _price_table(
-        path, lines, header, price_cols, date_idx, delimiter
-    )
-    # raised after the prices are parsed: a bad price above the short row
-    # comes first in reading order
-    if width_error is not None:
-        raise width_error
-    if dropped:
-        warnings.warn(
-            f"dropped {len(dropped)} row(s) with a missing price, the first at "
-            f"{path}:{dropped[0]}",
-            stacklevel=2,
-        )
-    if len(dates) < 2:
-        raise InsufficientDataError(
-            f"{path}: only {len(dates)} usable rows after alignment (need >= 2)"
-        )
-    calendar = _calendar(dates, lambda k: f"{path}:{linenos[k]}")
-    return [
-        PriceSeries(ticker=t, dates=calendar, prices=columns[j])
-        for j, t in enumerate(tickers)
-    ]
+    return header, date_idx, price_cols
 
 
-def _price_table(path, lines, header, price_cols, date_idx, delimiter):
-    """The kept lines' numbers, dates and prices (one row per ticker), the
-    numbers of the lines dropped for a missing price, and the width error, if
-    any. A cell numpy cannot parse raises FormatError, a value that is not a
-    finite positive number raises ValidationError; either names the first
-    offending cell in reading order."""
+def _direct_table(fh, width, price_cols, date_idx, delimiter):
+    """The calendar and the prices (one row per ticker) of the rest of ``fh``
+    in one ``_loadtxt`` pass, or None when the table needs the line path: the
+    pass raises, reads fewer than 2 rows, or reads another number of rows
+    than the file has non-empty lines (a quoted cell ran over a line end), a
+    price is not finite and positive, or the dates are out of order. Line
+    numbers matter only in errors, so this path needs none, and numpy skips
+    the empty lines."""
+    for first in fh:
+        if first != "\n":  # numpy warns about a body of blank lines
+            break
+    else:
+        return None
+    lines = 0
+
+    def body():
+        nonlocal lines
+        for line in itertools.chain([first], fh):
+            lines += line != "\n"
+            yield line
+
+    try:
+        dates, table = _loadtxt(body(), date_idx, delimiter)
+    except ValueError:
+        return None
+    if len(table) != lines or lines < 2 or table.shape[1] != width:
+        return None
+    # the price columns, copied once in the layout of the series; the whole
+    # table is freed before the check allocates
+    columns = table.T[price_cols]
+    del table
+    if not (np.isfinite(columns).all() and (columns > 0).all()):
+        return None
+    try:
+        # a culprit the line path names by its line
+        return _calendar(dates, str), columns
+    except ValidationError:
+        return None
+
+
+def _line_table(path, lines, header, price_cols, date_idx, delimiter):
+    """The calendar and the prices (one row per ticker) of ``lines``, the
+    lines after the header, read one by one: rows with a missing price are
+    dropped with one warning, and every error names its ``path:line``. A cell
+    numpy cannot parse raises FormatError, a value that is not a finite
+    positive number raises ValidationError; either names the first offending
+    cell in reading order, and both come before a short row below."""
 
     def check(values, dates, row=0, col=0):
         # values: a block of the prices, one row per line, whose first cell
@@ -194,22 +232,9 @@ def _price_table(path, lines, header, price_cols, date_idx, delimiter):
                 f"{header[price_cols[col + j]]} on {dates[r]}"
             )
 
-    # Every table goes through one _loadtxt pass over every column, which
-    # refuses a line of another width. Only when that pass raises or skips a
-    # line (loadtxt skips a blank one) does _scan pick the lines to keep, and
-    # they go through the same pass.
-    body = lines[1:-1] if lines[-1] == "" else lines[1:]
-    kept, linenos, dropped, width_error = body, range(2, len(body) + 2), [], None
-    table = None
-    if any(body):  # loadtxt warns about a body of blank lines
-        try:
-            dates, table = _loadtxt(body, date_idx, delimiter)
-        except ValueError:
-            pass
-    if table is None or table.shape != (len(body), len(header)):
-        kept, linenos, dropped, width_error = _scan(path, lines, header, price_cols, delimiter)
-        if not kept:
-            return linenos, [], np.empty((len(price_cols), 0)), dropped, width_error
+    kept, linenos, dropped, width_error = _scan(path, lines, header, price_cols, delimiter)
+    dates, columns = [], np.empty((len(price_cols), 0))
+    if kept:
         try:
             dates, table = _loadtxt(kept, date_idx, delimiter)
         except ValueError:
@@ -232,26 +257,33 @@ def _price_table(path, lines, header, price_cols, date_idx, delimiter):
                     raise
                 check(row[:, price_cols], date, r)
             raise
-    # the price columns, copied once in the layout of the series; the whole
-    # table is freed before the check allocates
-    columns = table.T[price_cols]
-    del table
-    check(columns.T, dates)
-    return linenos, dates, columns, dropped, width_error
+        columns = table.T[price_cols]
+        del table
+        check(columns.T, dates)
+    if width_error is not None:
+        raise width_error
+    if dropped:
+        warnings.warn(
+            f"dropped {len(dropped)} row(s) with a missing price, the first at "
+            f"{path}:{dropped[0]}",
+            stacklevel=3,
+        )
+    if len(dates) < 2:
+        raise InsufficientDataError(
+            f"{path}: only {len(dates)} usable rows after alignment (need >= 2)"
+        )
+    return _calendar(dates, lambda k: f"{path}:{linenos[k]}"), columns
 
 
 def _loadtxt(lines, date_idx, delimiter, usecols=None):
     """numpy's C parser over ``lines`` (one row per line, quoted cells
-    unquoted) and over every column unless ``usecols`` names some: the date
-    cells as the parser unquoted them, stripped, and the float table, whose
-    date column reads 0."""
-    # filled in place: a list that grew while loadtxt grows its table
-    # fragmented the heap and raised peak memory
-    dates = [""] * len(lines)
-    rows = iter(range(len(lines)))
+    unquoted, blank lines skipped) and over every column unless ``usecols``
+    names some: the date cells as the parser unquoted them, stripped, and the
+    float table, whose date column reads 0."""
+    dates = []
 
     def date(cell):
-        dates[next(rows)] = cell.strip()
+        dates.append(cell.strip())
         return 0.0
 
     table = np.loadtxt(
@@ -264,20 +296,20 @@ def _loadtxt(lines, date_idx, delimiter, usecols=None):
         usecols=usecols,
         ndmin=2,
     )
-    del dates[len(table):]  # loadtxt skips blank lines
     return dates, table
 
 
 def _scan(path, lines, header, price_cols, delimiter):
-    """Pick the lines after the header to keep, up to the first one of the
-    wrong width: the kept lines with their line numbers, the line numbers of
-    the rows dropped for a missing price, and the width error, if any. Blank
-    lines are skipped."""
+    """Pick the lines to keep from ``lines``, the lines after the header, up
+    to the first one of the wrong width: the kept lines with their line
+    numbers, the line numbers of the rows dropped for a missing price, and
+    the width error, if any. Blank lines are skipped."""
     kept: list[str] = []
     linenos: list[int] = []
     dropped: list[int] = []
     width_error = None
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
+        line = line.removesuffix("\n")
         cells = _cells(line, delimiter)
         if not all(map(str.strip, cells)):
             if not any(map(str.strip, cells)):

@@ -270,10 +270,10 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
     contributes no files."""
     out_root = Path(cfg.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    series = load_price_table(
+    # only the returns are kept: the prices are freed before any combination
+    returns = [log_returns(s) for s in load_price_table(
         cfg.input_path, delimiter=cfg.delimiter, date_column=cfg.date_column
-    )
-    returns = [log_returns(s) for s in series]
+    )]
 
     manifest: dict = {
         "config": asdict(cfg),
@@ -284,7 +284,7 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
                 var: os.environ.get(var) for var in centrality_mod.BLAS_THREAD_VARS
             },
         },
-        "n_instruments": len(series),
+        "n_instruments": len(returns),
         "combinations": {},
         "comparisons": [],
     }
@@ -337,8 +337,9 @@ def _comparison(cfg, centralities) -> tuple[dict[str, str], dict]:
     tickers = next(iter(centralities.values())).tickers
     header = ["vertex"] + [f"{kind}_{name}" for name, kind in names]
     lines = [",".join(header)]
+    columns = [centralities[key].normalized() for key in names]
     for i, t in enumerate(tickers):
-        row = [t] + [f"{centralities[key].normalized()[i]:.6f}" for key in names]
+        row = [t] + [f"{column[i]:.6f}" for column in columns]
         lines.append(",".join(row))
     table = "\n".join(lines) + "\n"
     files = dict(zip(COMPARISON_FILES, (table, json.dumps(rows, indent=2) + "\n")))

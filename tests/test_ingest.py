@@ -1,7 +1,9 @@
 import csv
 import importlib.util
 import math
+import os
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -171,14 +173,21 @@ class TestLoadPriceTable:
         with pytest.raises(FormatError, match=rf"prices\.csv:3: .*'{cell}' for B$"):
             load_price_table(path)
 
-    @pytest.mark.parametrize("cell", ["nan", "inf", "0"])
-    def test_non_finite_or_zero_price_names_ticker_and_date(self, tmp_path, cell):
+    @pytest.mark.parametrize(
+        "cell, blank",
+        [("nan", ""), ("inf", ""), ("0", ""), ("0", "\n")],
+        ids=["nan", "inf", "0", "0-below-a-blank-line"],
+    )
+    def test_non_finite_or_zero_price_names_ticker_and_date(self, tmp_path, cell, blank):
+        # the line number counts a blank line above, which the one pass skips
         path = write(
             tmp_path,
-            f"date,A,B\n2020-01-01,1,2\n2020-01-02,1.1,{cell}\n2020-01-03,1,2\n",
+            f"date,A,B\n2020-01-01,1,2\n{blank}2020-01-02,1.1,{cell}\n2020-01-03,1,2\n",
         )
+        line = 3 + len(blank)
         with pytest.raises(
-            ValidationError, match=rf"prices\.csv:3: .*price {cell} for ticker B on 2020-01-02"
+            ValidationError,
+            match=rf"prices\.csv:{line}: .*price {cell} for ticker B on 2020-01-02",
         ):
             load_price_table(path)
 
@@ -276,8 +285,9 @@ class TestLoadPriceTable:
         [
             'date,A,B\n"2020-01-01","1.5","2"\n"2020-01-02","1.25","3"\n',
             'date,A,B\n"Jan 02, 2020",1.5,2\n"Jan 03, 2020",1.25,3\n',
+            'date,A,B\n\n"2020-01-01",1.5,2\n\n\n"2020-01-02",1.25,3\n\n',
         ],
-        ids=["fully-quoted", "delimiter-in-quoted-date"],
+        ids=["fully-quoted", "delimiter-in-quoted-date", "blank-lines-mid-body"],
     )
     def test_quoted_table_takes_the_one_pass(self, tmp_path, monkeypatch, text):
         def scan(*args):
@@ -286,6 +296,53 @@ class TestLoadPriceTable:
         monkeypatch.setattr(ingest, "_scan", scan)
         series = load(write(tmp_path, text))
         assert series[1].prices.tolist() == [2.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "body, got",
+        [
+            ('2020-01-01,1,2\n"2020-01-02,1,2\n2020-01-03",1.1,2.1\n2020-01-04,1,2\n', 1),
+            ('2020-01-01,1,2\n2020-01-02,"1.1\n",2\n2020-01-03,1,2\n', 2),
+        ],
+        ids=["date", "price"],
+    )
+    def test_quoted_cell_over_two_lines_is_refused(self, tmp_path, body, got):
+        # numpy keeps a quoted cell open across lines and would merge the two
+        # lines into one row; each record is one line, so the line path
+        # names the first line of the record
+        path = write(tmp_path, "date,A,B\n" + body)
+        with pytest.raises(FormatError, match=rf"prices\.csv:3: expected 3 fields, got {got}$"):
+            load_price_table(path)
+
+    def test_load_peak_memory_stays_near_the_float_table(self, tmp_path):
+        """The file is parsed as it is read and only the prices are copied:
+        one load peaks at about twice the prices' bytes, where holding the
+        file's text and its lines as well took about 3.8 times."""
+        n, rows = 100, 1001
+        spec = SynthSpec(mode="factor", n_instruments=n, n_rows=rows, seed=3)
+        path = write(tmp_path, generate_price_table(spec))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            load_price_table(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * rows * 8
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    def test_pipe_with_a_missing_price(self):
+        """A pipe, as ``--input <(zcat prices.csv.gz)`` gives, cannot be read
+        twice, yet a missing price sends its table to the line path."""
+        r, w = os.pipe()
+        try:
+            os.write(w, b"date,A,B\n2020-01-01,1,2\n2020-01-02,1.1,\n2020-01-03,1.2,2.2\n")
+            os.close(w)
+            with pytest.warns(UserWarning, match=rf"dropped 1 row.*/dev/fd/{r}:3$"):
+                series = load_price_table(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert series[1].dates == ("2020-01-01", "2020-01-03")
 
     def test_missing_price_is_still_scanned(self, tmp_path, monkeypatch):
         scans = []
@@ -409,6 +466,8 @@ def test_loader_matches_row_loop_oracle(table_path, table):
         warnings.simplefilter("always")
         got = outcome(load_price_table, table_path, delimiter=delimiter)
     assert got == expected
+    # these filters override -W, so a leaked loadtxt warning is checked here
+    assert not [w for w in caught if str(w.message).startswith("loadtxt")]
     if isinstance(got, list):
         drops = [str(w.message) for w in caught if "missing price" in str(w.message)]
         expected_drops = [

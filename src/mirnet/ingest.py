@@ -10,6 +10,7 @@ import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,8 +36,9 @@ class PriceSeries:
             raise InsufficientDataError(
                 f"{self.ticker}: need at least 2 price rows, got {prices.size}"
             )
-        if not np.all(prices > 0):
-            bad = int(np.argmin(prices > 0))
+        usable = np.isfinite(prices) & (prices > 0)
+        if not usable.all():
+            bad = int(np.argmin(usable))
             raise ValidationError(
                 f"{self.ticker}: non-positive price {prices[bad]} on {self.dates[bad]}"
             )
@@ -122,8 +124,10 @@ def load_price_table(
     their count and the first one's ``path:line``. The rows, quoted or not,
     are parsed straight from the open file in one pass of numpy's C parser
     (``np.loadtxt``), dates included, and the calendar's order is checked
-    once per table. Only a table that pass cannot take whole is read again
-    line by line, to drop rows and name the culprit by ``path:line``.
+    once per table. A table that pass refuses takes the line path: the file
+    is read again line by line, and the lines it keeps stream through the
+    same pass, so that rows are dropped and the culprit is named by
+    ``path:line`` without a list of the lines being held.
     """
     try:
         with open(path) as fh:
@@ -131,6 +135,11 @@ def load_price_table(
                 fh = io.StringIO(fh.read())
             header, date_idx, price_cols = _header(path, fh.readline(), delimiter, date_column)
             table = _direct_table(fh, len(header), price_cols, date_idx, delimiter)
+            if table is not None:
+                try:
+                    table = _calendar(table[0], str), table[1]
+                except ValidationError:  # a culprit the line path names by its line
+                    table = None
             if table is None:
                 fh.seek(0)
                 fh.readline()  # past the header
@@ -138,6 +147,10 @@ def load_price_table(
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     calendar, columns = table
+    if len(calendar) < 2:
+        raise InsufficientDataError(
+            f"{path}: only {len(calendar)} usable rows after alignment (need >= 2)"
+        )
     return [
         PriceSeries(ticker=header[i], dates=calendar, prices=columns[j])
         for j, i in enumerate(price_cols)
@@ -172,32 +185,32 @@ def _header(path, line, delimiter, date_column):
     return header, date_idx, price_cols
 
 
-def _direct_table(fh, width, price_cols, date_idx, delimiter):
-    """The calendar and the prices (one row per ticker) of the rest of ``fh``
-    in one ``_loadtxt`` pass, or None when the table needs the line path: the
-    pass raises, reads fewer than 2 rows, or reads another number of rows
-    than the file has non-empty lines (a quoted cell ran over a line end), a
-    price is not finite and positive, or the dates are out of order. Line
-    numbers matter only in errors, so this path needs none, and numpy skips
-    the empty lines."""
-    for first in fh:
+def _direct_table(lines, width, price_cols, date_idx, delimiter):
+    """The dates, unchecked, and the prices (one row per ticker) of
+    ``lines`` in one ``_loadtxt`` pass, or None when the pass refuses them:
+    it raises, reads another number of rows than ``lines`` has non-empty
+    lines (a quoted cell ran over a line end) or rows of another width than
+    ``width``, or a price is not finite and positive. numpy skips the empty
+    lines, and the pass keeps no line numbers: they matter only in errors."""
+    lines = iter(lines)
+    for first in lines:
         if first != "\n":  # numpy warns about a body of blank lines
             break
     else:
-        return None
-    lines = 0
+        return [], np.empty((len(price_cols), 0))
+    count = 0
 
     def body():
-        nonlocal lines
-        for line in itertools.chain([first], fh):
-            lines += line != "\n"
+        nonlocal count
+        for line in itertools.chain([first], lines):
+            count += line != "\n"
             yield line
 
     try:
         dates, table = _loadtxt(body(), date_idx, delimiter)
     except ValueError:
         return None
-    if len(table) != lines or lines < 2 or table.shape[1] != width:
+    if len(table) != count or table.shape[1] != width:
         return None
     # the price columns, copied once in the layout of the series; the whole
     # table is freed before the check allocates
@@ -205,74 +218,56 @@ def _direct_table(fh, width, price_cols, date_idx, delimiter):
     del table
     if not (np.isfinite(columns).all() and (columns > 0).all()):
         return None
-    try:
-        # a culprit the line path names by its line
-        return _calendar(dates, str), columns
-    except ValidationError:
-        return None
+    return dates, columns
 
 
-def _line_table(path, lines, header, price_cols, date_idx, delimiter):
-    """The calendar and the prices (one row per ticker) of ``lines``, the
-    lines after the header, read one by one: rows with a missing price are
-    dropped with one warning, and every error names its ``path:line``. A cell
-    numpy cannot parse raises FormatError, a value that is not a finite
-    positive number raises ValidationError; either names the first offending
-    cell in reading order, and both come before a short row below."""
+def _line_table(path, fh, header, price_cols, date_idx, delimiter):
+    """The calendar and the prices (one row per ticker) of the rest of
+    ``fh``, the lines after the header: ``_scan`` streams the lines it keeps
+    through the one ``_direct_table`` pass, rows with a missing price are
+    dropped with one warning, and every error names its ``path:line``. Only
+    when the pass refuses the kept lines are they read again, each alone, to
+    name the first bad cell in reading order: a cell numpy cannot parse
+    raises FormatError, a value that is not a finite positive number raises
+    ValidationError, and either comes before a short row below."""
+    body = fh.tell()
+    seen = SimpleNamespace(linenos=[], dropped=[], error=None)
 
-    def check(values, dates, row=0, col=0):
-        # values: a block of the prices, one row per line, whose first cell
-        # is (row, col); dates: the block's dates
-        bad = ~(np.isfinite(values) & (values > 0))
-        if bad.any():
-            r, j = divmod(int(bad.argmax()), bad.shape[1])
-            cell = _cells(kept[row + r], delimiter)[price_cols[col + j]].strip()
-            raise ValidationError(
-                f"{path}:{linenos[row + r]}: non-positive price {cell} for ticker "
-                f"{header[price_cols[col + j]]} on {dates[r]}"
-            )
+    def table_of(lines):
+        return _direct_table(lines, len(header), price_cols, date_idx, delimiter)
 
-    kept, linenos, dropped, width_error = _scan(path, lines, header, price_cols, delimiter)
-    dates, columns = [], np.empty((len(price_cols), 0))
-    if kept:
-        try:
-            dates, table = _loadtxt(kept, date_idx, delimiter)
-        except ValueError:
-            # Go row by row, then cell by cell in the failing row, so that the
-            # error names the first bad cell in reading order.
-            for r, line in enumerate(kept):
+    table = table_of(_scan(path, fh, header, price_cols, delimiter, seen))
+    if table is None:
+        fh.seek(body)
+        for line in _scan(path, fh, header, price_cols, delimiter, seen):
+            if table_of([line]) is not None:
+                continue
+            # cell by cell in the line the pass refuses
+            lineno, cells = seen.linenos[-1], _cells(line, delimiter)
+            for i in price_cols:
+                cell = cells[i].strip()
                 try:
-                    date, row = _loadtxt([line], date_idx, delimiter)
-                except ValueError:
-                    cells = _cells(line, delimiter)
-                    for j, i in enumerate(price_cols):
-                        try:
-                            date, value = _loadtxt([line], date_idx, delimiter, [date_idx, i])
-                        except ValueError as exc:
-                            raise FormatError(
-                                f"{path}:{linenos[r]}: unparseable price "
-                                f"{cells[i].strip()!r} for {header[i]}"
-                            ) from exc
-                        check(value[:, 1:], date, r, j)
-                    raise
-                check(row[:, price_cols], date, r)
-            raise
-        columns = table.T[price_cols]
-        del table
-        check(columns.T, dates)
-    if width_error is not None:
-        raise width_error
-    if dropped:
+                    date, value = _loadtxt([line], date_idx, delimiter, [date_idx, i])
+                except ValueError as exc:
+                    raise FormatError(
+                        f"{path}:{lineno}: unparseable price {cell!r} for {header[i]}"
+                    ) from exc
+                if not (np.isfinite(value[0, 1]) and value[0, 1] > 0):
+                    raise ValidationError(
+                        f"{path}:{lineno}: non-positive price {cell} for ticker "
+                        f"{header[i]} on {date[0]}"
+                    )
+        raise FormatError(f"{path}: unparseable table, though each of its cells parses")
+    if seen.error is not None:
+        raise seen.error
+    if seen.dropped:
         warnings.warn(
-            f"dropped {len(dropped)} row(s) with a missing price, the first at "
-            f"{path}:{dropped[0]}",
+            f"dropped {len(seen.dropped)} row(s) with a missing price, the first at "
+            f"{path}:{seen.dropped[0]}",
             stacklevel=3,
         )
-    if len(dates) < 2:
-        raise InsufficientDataError(
-            f"{path}: only {len(dates)} usable rows after alignment (need >= 2)"
-        )
-    return _calendar(dates, lambda k: f"{path}:{linenos[k]}"), columns
+    dates, columns = table
+    return _calendar(dates, lambda k: f"{path}:{seen.linenos[k]}"), columns
 
 
 def _loadtxt(lines, date_idx, delimiter, usecols=None):
@@ -299,15 +294,13 @@ def _loadtxt(lines, date_idx, delimiter, usecols=None):
     return dates, table
 
 
-def _scan(path, lines, header, price_cols, delimiter):
-    """Pick the lines to keep from ``lines``, the lines after the header, up
-    to the first one of the wrong width: the kept lines with their line
-    numbers, the line numbers of the rows dropped for a missing price, and
-    the width error, if any. Blank lines are skipped."""
-    kept: list[str] = []
-    linenos: list[int] = []
-    dropped: list[int] = []
-    width_error = None
+def _scan(path, lines, header, price_cols, delimiter, seen):
+    """Yield the lines of ``lines``, the lines after the header, that hold a
+    row of prices, up to the first one that is not one record of the
+    header's width; blank lines are skipped. ``seen`` records the yielded
+    lines' numbers (``linenos``), those of the rows dropped for a missing
+    price (``dropped``) and the FormatError of the line that ended the scan
+    (``error``), which the caller raises after any bad cell above it."""
     for lineno, line in enumerate(lines, start=2):
         line = line.removesuffix("\n")
         cells = _cells(line, delimiter)
@@ -317,16 +310,20 @@ def _scan(path, lines, header, price_cols, delimiter):
             if len(cells) == len(header) and not all(
                 cells[i].strip() for i in price_cols
             ):
-                dropped.append(lineno)
+                seen.dropped.append(lineno)
                 continue  # missing price: drop the row from the common calendar
         if len(cells) != len(header):
-            width_error = FormatError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(cells)}"
-            )
-            break
-        kept.append(line)
-        linenos.append(lineno)
-    return kept, linenos, dropped, width_error
+            error = f"expected {len(header)} fields, got {len(cells)}"
+        elif '"' in line and len(list(csv.reader([line, ""], delimiter=delimiter))) == 1:
+            # csv, like numpy, reads on into the next line while a quote is
+            # open, so only then is an empty next line not a record of its own
+            error = "a quoted cell runs over the line end"
+        else:
+            seen.linenos.append(lineno)
+            yield line
+            continue
+        seen.error = FormatError(f"{path}:{lineno}: {error}")
+        return
 
 
 def _cells(line: str, delimiter: str) -> list[str]:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import importlib.util
 import math
@@ -247,15 +248,27 @@ class TestLoadPriceTable:
         ):
             load_price_table(path)
 
-    def test_unordered_dates_name_the_row(self, tmp_path):
-        path = write(
-            tmp_path,
-            "date,A,B\n2020-01-01,1,2\n2020-01-03,1,2\n\n2020-01-02,1,2\n",
-        )
-        with pytest.raises(
-            ValidationError, match=r"prices\.csv:5: .*'2020-01-03' then '2020-01-02'"
-        ):
-            load_price_table(path)
+    @pytest.mark.parametrize(
+        "body, dropped",
+        [
+            ("2020-01-01,1,2\n2020-01-03,1,2\n\n2020-01-02,1,2\n", 0),
+            ("2020-01-03,1,2\n2020-01-04,1,\n\n2020-01-02,1,2\n", 1),
+        ],
+        ids=["below-a-blank-line", "below-a-dropped-row-and-a-blank-line"],
+    )
+    def test_unordered_dates_name_the_row(self, tmp_path, body, dropped):
+        # line 5 either way: on the line path, the pass names the culprit
+        # from the kept lines' numbers, which skip a dropped row
+        path = write(tmp_path, "date,A,B\n" + body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(
+                ValidationError, match=r"prices\.csv:5: .*'2020-01-03' then '2020-01-02'"
+            ):
+                load_price_table(path)
+        assert [str(w.message) for w in caught] == dropped * [
+            f"dropped 1 row(s) with a missing price, the first at {path}:3"
+        ]
 
     def test_calendar_checked_once_per_table(self, tmp_path, monkeypatch):
         walks = []
@@ -298,34 +311,54 @@ class TestLoadPriceTable:
         assert series[1].prices.tolist() == [2.0, 3.0]
 
     @pytest.mark.parametrize(
-        "body, got",
+        "body, error",
         [
-            ('2020-01-01,1,2\n"2020-01-02,1,2\n2020-01-03",1.1,2.1\n2020-01-04,1,2\n', 1),
-            ('2020-01-01,1,2\n2020-01-02,"1.1\n",2\n2020-01-03,1,2\n', 2),
+            (
+                '2020-01-01,1,2\n"2020-01-02,1,2\n2020-01-03",1.1,2.1\n2020-01-04,1,2\n',
+                "expected 3 fields, got 1",
+            ),
+            ('2020-01-01,1,2\n2020-01-02,"1.1\n",2\n2020-01-03,1,2\n', "expected 3 fields, got 2"),
+            # the opening line has the right width, and the closing quote
+            # alone reads as a blank line
+            (
+                '2020-01-01,1,2\n2020-01-02,1.1,"2\n"\n2020-01-03,1,2\n',
+                "a quoted cell runs over the line end",
+            ),
         ],
-        ids=["date", "price"],
+        ids=["date", "price", "open-quote"],
     )
-    def test_quoted_cell_over_two_lines_is_refused(self, tmp_path, body, got):
+    def test_quoted_cell_over_two_lines_is_refused(self, tmp_path, body, error):
         # numpy keeps a quoted cell open across lines and would merge the two
         # lines into one row; each record is one line, so the line path
         # names the first line of the record
         path = write(tmp_path, "date,A,B\n" + body)
-        with pytest.raises(FormatError, match=rf"prices\.csv:3: expected 3 fields, got {got}$"):
+        with pytest.raises(FormatError, match=rf"prices\.csv:3: {error}$"):
             load_price_table(path)
 
-    def test_load_peak_memory_stays_near_the_float_table(self, tmp_path):
+    @pytest.mark.parametrize("blank", [None, 501], ids=["direct-pass", "line-path"])
+    def test_load_peak_memory_stays_near_the_float_table(self, tmp_path, blank):
         """The file is parsed as it is read and only the prices are copied:
         one load peaks at about twice the prices' bytes, where holding the
-        file's text and its lines as well took about 3.8 times."""
+        file's text and its lines as well took about 3.8 times. A blanked
+        price sends the table to the line path, whose kept lines stream
+        through the same pass; holding them in a list took about 3.7 times."""
         n, rows = 100, 1001
         spec = SynthSpec(mode="factor", n_instruments=n, n_rows=rows, seed=3)
-        path = write(tmp_path, generate_price_table(spec))
+        lines = generate_price_table(spec).split("\n")
+        if blank:
+            lines[blank - 1] = lines[blank - 1].rsplit(",", 1)[0] + ","
+        path = write(tmp_path, "\n".join(lines))
+        if blank:
+            warns = pytest.warns(UserWarning, match=rf"dropped 1 row.*prices\.csv:{blank}$")
+        else:
+            warns = contextlib.nullcontext()
         tracemalloc.start()
         try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            load_price_table(path)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            with warns:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                load_price_table(path)
+                peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * n * rows * 8
@@ -495,7 +528,7 @@ class TestPriceSeriesInvariants:
         with pytest.raises(InsufficientDataError, match="^A: need at least 2 price rows, got 1$"):
             PriceSeries("A", ("d1",), np.array([1.0]))
 
-    @pytest.mark.parametrize("price", [0.0, -2.0])
+    @pytest.mark.parametrize("price", [0.0, -2.0, np.inf])
     def test_non_positive_price_rejected(self, price):
         with pytest.raises(ValidationError, match=f"^A: non-positive price {price} on d2$"):
             PriceSeries("A", ("d1", "d2", "d3"), np.array([1.0, price, 3.0]))

@@ -304,20 +304,19 @@ def _scan(path, lines, header, price_cols, delimiter, seen):
     for lineno, line in enumerate(lines, start=2):
         line = line.removesuffix("\n")
         cells = _cells(line, delimiter)
-        if not all(map(str.strip, cells)):
-            if not any(map(str.strip, cells)):
-                continue  # blank line
-            if len(cells) == len(header) and not all(
-                cells[i].strip() for i in price_cols
-            ):
-                seen.dropped.append(lineno)
-                continue  # missing price: drop the row from the common calendar
-        if len(cells) != len(header):
+        # csv, like numpy, reads on into the next line while a quote is open,
+        # so only then is an empty next line not a record of its own
+        open_quote = '"' in line and len(list(csv.reader([line, ""], delimiter=delimiter))) == 1
+        blank = not any(map(str.strip, cells))
+        if blank and not open_quote:
+            continue
+        if len(cells) != len(header) and not blank:
             error = f"expected {len(header)} fields, got {len(cells)}"
-        elif '"' in line and len(list(csv.reader([line, ""], delimiter=delimiter))) == 1:
-            # csv, like numpy, reads on into the next line while a quote is
-            # open, so only then is an empty next line not a record of its own
+        elif open_quote:
             error = "a quoted cell runs over the line end"
+        elif not all(map(str.strip, cells)) and not all(cells[i].strip() for i in price_cols):
+            seen.dropped.append(lineno)
+            continue  # missing price: drop the row from the common calendar
         else:
             seen.linenos.append(lineno)
             yield line

@@ -111,8 +111,9 @@ def _padded(rows: np.ndarray, front: int) -> np.ndarray:
     return flat
 
 
-def _rank_levels(rows: np.ndarray) -> list[np.ndarray]:
-    """Labels of every suffix's prefixes, one array per level, row-wise.
+def _rank_levels(rows: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Labels of every suffix's prefixes, one array per level, row-wise, and
+    each row's suffix array.
 
     Level k labels the substrings of length 2**k starting at each position
     (cut at the end of the row): two positions share a label exactly when
@@ -122,7 +123,8 @@ def _rank_levels(rows: np.ndarray) -> list[np.ndarray]:
     their rank among the batch's symbols, so any int64 symbols are fine.
     The last packed level is sorted into dense ranks, and doubling goes on
     until a level's ranks are all distinct; every longest common prefix is
-    then shorter than 2**k.
+    then shorter than 2**k, and the sort of that last level is the suffix
+    array (the positions in rank order), in the ranks' dtype.
     """
     b, n = rows.shape
     if rows.min() < 0 or rows.max() >= n:
@@ -140,7 +142,8 @@ def _rank_levels(rows: np.ndarray) -> list[np.ndarray]:
     row_start = n * np.arange(b)[:, None]
     key = levels.pop()
     while True:
-        order = (np.argsort(key, axis=1) + row_start).ravel()
+        sa = np.argsort(key, axis=1)
+        order = (sa + row_start).ravel()
         sorted_key = key.ravel()[order].reshape(b, n)
         dense = np.zeros((b, n), dtype=dtype)
         np.cumsum(sorted_key[:, 1:] != sorted_key[:, :-1], axis=1, out=dense[:, 1:])
@@ -148,20 +151,21 @@ def _rank_levels(rows: np.ndarray) -> list[np.ndarray]:
         rank.ravel()[order] = dense.ravel()
         levels.append(rank)
         if (dense[:, -1] == n - 1).all():
-            return levels
+            return levels, sa.astype(dtype, copy=False)
         # (rank, rank 2**k further on) as one key; past the end sorts first
         h = 1 << (len(levels) - 1)
         key = rank * (n + 1)
         key[:, :-h] += rank[:, h:] + 1
 
 
-def _nearest_smaller(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_smaller(rank: np.ndarray, sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest earlier-starting suffixes on either side in suffix-array order.
 
-    ``rank`` holds each suffix's suffix-array index r, all distinct in a row.
-    For the suffix at position p, returns the position of the suffix at the
-    closest index below r, and at the closest above r, that starts before p,
-    or -1 where there is none; both flattened row by row. The neighbour at
+    ``rank`` holds each suffix's suffix-array index r, all distinct in a row,
+    and ``sa`` its inverse, the suffix array, in the same dtype. For the
+    suffix at position p, returns the position of the suffix at the closest
+    index below r, and at the closest above r, that starts before p, or -1
+    where there is none; both flattened row by row. The neighbour at
     r - 1 (r + 1) is the answer for about half the suffixes; the rest are
     found by binary lifting over a sparse table of suffix-array minima: a
     block of indices is skipped while every suffix in it starts after p. The
@@ -171,8 +175,6 @@ def _nearest_smaller(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b, n = rank.shape
     levels = n.bit_length()
     front = 1 << (levels - 1)
-    sa = np.empty_like(rank)
-    np.put_along_axis(sa, rank, np.arange(n, dtype=rank.dtype), axis=1)
     # table[k, i] = min of the SA over flat indices i .. i + 2**k - 1; the -1
     # pads around each row stop any block that leaves it, and ``front`` of
     # them keep the blocks that end in row 0 inside the array
@@ -234,8 +236,8 @@ def match_lengths(seq) -> np.ndarray:
             f"match lengths need at least 2 symbols, got {n}"
         )
     rows = seq.reshape(-1, n)
-    levels = _rank_levels(rows)
-    before, after = _nearest_smaller(levels[-1])
+    levels, sa = _rank_levels(rows)
+    before, after = _nearest_smaller(levels[-1], sa)
     # a longest previous factor is shared with one of the two nearest
     # earlier-starting suffixes in SA order (Crochemore & Ilie 2008)
     start = 1 + (n + 1) * np.arange(rows.shape[0])[:, None]

@@ -324,8 +324,14 @@ class TestLoadPriceTable:
                 '2020-01-01,1,2\n2020-01-02,1.1,"2\n"\n2020-01-03,1,2\n',
                 "a quoted cell runs over the line end",
             ),
+            # a quote alone reads as one empty cell, but it opens a cell that
+            # csv reads on into the next line
+            (
+                '2020-01-01,1,2\n"\n2020-01-02,1.5,2\n2020-01-03,1,2\n',
+                "a quoted cell runs over the line end",
+            ),
         ],
-        ids=["date", "price", "open-quote"],
+        ids=["date", "price", "open-quote", "quote-alone"],
     )
     def test_quoted_cell_over_two_lines_is_refused(self, tmp_path, body, error):
         # numpy keeps a quoted cell open across lines and would merge the two

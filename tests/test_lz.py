@@ -116,7 +116,8 @@ class TestBatchedMatchLengths:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lz, "_INT32_KEYS_BELOW", 0)
             batch = np.array(rows, dtype=np.int64)
-            assert lz._rank_levels(batch)[-1].dtype == np.int64
+            levels, _ = lz._rank_levels(batch)
+            assert levels[-1].dtype == np.int64
             lam = match_lengths(batch)
         for row, got in zip(rows, lam):
             assert got.tolist() == brute_match_lengths(row)
@@ -131,7 +132,7 @@ class TestBatchedMatchLengths:
             np.tile([2, 0, 1], n // 3),
             np.r_[np.tile([1, 0, 0], n // 3 - 1), [1, 1, 0]],
         ])
-        levels = lz._rank_levels(rows)
+        levels, _ = lz._rank_levels(rows)
         assert levels[0].dtype == np.int64 and levels[-1].dtype == np.int32
         assert 1 << (len(levels) - 1) >= n
         for row, got in zip(rows, match_lengths(rows)):

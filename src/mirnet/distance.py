@@ -115,8 +115,13 @@ class DistanceMatrix:
 
         Each pair's ``repr`` is formatted once: an entry below the diagonal
         reuses its mirror's, unless the two are zeros of opposite sign (the
-        only entries that the symmetry check lets differ).
+        only entries that the symmetry check lets differ). A ticker holding
+        the delimiter, a ``"`` or a line break raises ``ValidationError``.
         """
+        for t in self.tickers:  # a line break anywhere in t splits t + "." in two
+            if delimiter in t or '"' in t or len(f"{t}.".splitlines()) > 1:
+                raise ValidationError(f"{t!r}: a ticker holding the delimiter, a "
+                                      "quote or a line break cannot be written")
         values = self.values
         i, j = np.triu_indices(self.n, 1)
         upper = list(map(repr, values[i, j].tolist()))

@@ -62,21 +62,26 @@ def _edge_order(matrix: DistanceMatrix):
     return names, lo[order].tolist(), hi[order].tolist(), dist[order].tolist()
 
 
-def _refuse_repeated_tickers(matrix: DistanceMatrix) -> None:
-    """A repeated ticker would merge two nodes."""
-    seen: set[str] = set()
-    for ticker in matrix.tickers:
-        if ticker in seen:
-            raise ValidationError(f"{ticker}: ticker appears more than once")
-        seen.add(ticker)
+def _filtered(matrix: DistanceMatrix, kind: str, target: int, keeps) -> FilteredGraph:
+    """The graph of the first ``target`` edges in ``_edge_order`` that ``keeps``
+    accepts, given their positions in its names; refuses a repeated ticker."""
+    names, lo, hi, dist = _edge_order(matrix)
+    if len(names) < matrix.n:
+        repeated = next(t for k, t in enumerate(matrix.tickers) if t in matrix.tickers[:k])
+        raise ValidationError(f"{repeated}: ticker appears more than once")
+    accepted: list[tuple[str, str, float]] = []
+    for u, v, w in zip(lo, hi, dist):
+        if keeps(u, v):
+            accepted.append((names[u], names[v], w))
+            if len(accepted) == target:
+                break
+    return FilteredGraph(kind, matrix.tickers, accepted, matrix.method, dict(matrix.params))
 
 
 def build_mst(matrix: DistanceMatrix) -> FilteredGraph:
     """Kruskal insertion over the ordered edge list; n-1 edges, acyclic."""
     if matrix.n < 2:
         raise ValueError("MST needs at least 2 nodes")
-    _refuse_repeated_tickers(matrix)
-    names, lo, hi, dist = _edge_order(matrix)
     root = list(range(matrix.n))  # union-find forest over names, with path halving
 
     def find(x: int) -> int:
@@ -84,21 +89,12 @@ def build_mst(matrix: DistanceMatrix) -> FilteredGraph:
             root[x] = x = root[root[x]]
         return x
 
-    accepted = []
-    for u, v, w in zip(lo, hi, dist):
+    def joins_two_trees(u: int, v: int) -> bool:
         a, b = find(u), find(v)
-        if a != b:
-            root[a] = b
-            accepted.append((names[u], names[v], w))
-            if len(accepted) == matrix.n - 1:
-                break
-    return FilteredGraph(
-        kind="mst",
-        nodes=matrix.tickers,
-        edges=accepted,
-        source_method=matrix.method,
-        params=dict(matrix.params),
-    )
+        root[a] = b
+        return a != b
+
+    return _filtered(matrix, "mst", matrix.n - 1, joins_two_trees)
 
 
 def _is_planar(n: int, adj: list[list[int]]) -> bool:
@@ -321,28 +317,18 @@ def build_pmfg(matrix: DistanceMatrix) -> FilteredGraph:
     """
     if matrix.n < 3:
         raise ValueError("PMFG needs at least 3 nodes")
-    _refuse_repeated_tickers(matrix)
-    names, lo, hi, dist = _edge_order(matrix)
-    target = 3 * (matrix.n - 2)
-    accepted: list[tuple[str, str, float]] = []
     adj: list[list[int]] = [[] for _ in range(matrix.n)]  # over names
-    for a, b, w in zip(lo, hi, dist):
-        adj[a].append(b)
-        adj[b].append(a)
-        if not _is_planar(matrix.n, adj):
-            adj[a].pop()
-            adj[b].pop()
-            continue
-        accepted.append((names[a], names[b], w))
-        if len(accepted) == target:
-            break
-    return FilteredGraph(
-        kind="pmfg",
-        nodes=matrix.tickers,
-        edges=accepted,
-        source_method=matrix.method,
-        params=dict(matrix.params),
-    )
+
+    def stays_planar(u: int, v: int) -> bool:
+        adj[u].append(v)
+        adj[v].append(u)
+        if _is_planar(matrix.n, adj):
+            return True
+        adj[u].pop()
+        adj[v].pop()
+        return False
+
+    return _filtered(matrix, "pmfg", 3 * (matrix.n - 2), stays_planar)
 
 
 # (id, for, attr.name, attr.type) of each GraphML key, in document order
@@ -414,7 +400,7 @@ def to_json(graph: FilteredGraph) -> str:
             for rank, (u, v, w) in enumerate(graph.edges)
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 EXPORTERS = {"graphml": to_graphml, "dot": to_dot, "json": to_json}

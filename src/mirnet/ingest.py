@@ -344,8 +344,6 @@ def discretize(series: ReturnSeries, alphabet_size: int) -> SymbolSequence:
     (earlier observation wins ties), position p of m maps to bin
     p * alpha // m, so bin counts never differ by more than one.
     """
-    if alphabet_size < 2:
-        raise ValidationError(f"alphabet size must be >= 2, got {alphabet_size}")
     m = len(series)
     if m < alphabet_size:
         raise InsufficientDataError(

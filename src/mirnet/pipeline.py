@@ -139,7 +139,7 @@ def _combination(cfg: AnalysisConfig, combo: dict, returns) -> tuple[dict, dict,
         )
         texts = {
             f"{name}_distances.csv": matrix.to_delimited(),
-            f"{name}_distances_report.json": json.dumps(matrix.report(), indent=2) + "\n",
+            f"{name}_distances_report.json": _json(matrix.report()),
         }
         graphs, centralities = {}, {}
         for kind in cfg.graph_kinds:
@@ -305,7 +305,7 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
     manifest["status"] = (
         "ok" if statuses <= {"ok"} else "partial" if "ok" in statuses else "failed"
     )
-    files["manifest.json"] = json.dumps(manifest, indent=2) + "\n"
+    files["manifest.json"] = _json(manifest)
     _publish(out_root, files)
     return manifest
 
@@ -320,15 +320,20 @@ def _comparison(cfg, centralities) -> tuple[dict[str, str], dict]:
     if "correlation" not in cfg.methods or not mir_names:
         return {}, {"comparison_note": "no comparison report: need both a "
                     "correlation baseline and at least one MIR variant"}
-    rows = [
-        {"kind": kind, "variant": name}
-        | centrality_mod.compare_centralities(
-            centralities[("correlation", kind)], centralities[(name, kind)]
-        )
-        for kind in cfg.graph_kinds
-        for name in mir_names
-        if ("correlation", kind) in centralities and (name, kind) in centralities
-    ]
+    # the statistics of a constant vector (every node of a K4 PMFG is equally
+    # central) are NaN, which JSON cannot hold: they are written as null
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = [
+            {"kind": kind, "variant": name}
+            | centrality_mod.compare_centralities(
+                centralities[("correlation", kind)], centralities[(name, kind)]
+            )
+            for kind in cfg.graph_kinds
+            for name in mir_names
+            if ("correlation", kind) in centralities and (name, kind) in centralities
+        ]
+    rows = [{k: None if isinstance(v, float) and np.isnan(v) else v for k, v in row.items()}
+            for row in rows]
     if not rows:
         return {}, {"comparison_note": "no comparison report: no complete pairs"}
 
@@ -342,8 +347,13 @@ def _comparison(cfg, centralities) -> tuple[dict[str, str], dict]:
         row = [t] + [f"{column[i]:.6f}" for column in columns]
         lines.append(",".join(row))
     table = "\n".join(lines) + "\n"
-    files = dict(zip(COMPARISON_FILES, (table, json.dumps(rows, indent=2) + "\n")))
+    files = dict(zip(COMPARISON_FILES, (table, _json(rows))))
     return files, {"comparisons": rows}
+
+
+def _json(doc) -> str:
+    """``doc`` as the text of a JSON artifact; a NaN or infinity raises."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _publish(out_root: Path, files: dict[str, str]) -> None:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -437,6 +438,20 @@ class TestDistanceMatrix:
         assert m.to_delimited().splitlines()[1:] == [
             "A,0.0,-0.0,0.25", "B,0.0,-0.0,1.5", "C,0.25,1.5,0.0"
         ]
+
+    @pytest.mark.parametrize("ticker, delimiter", [
+        ("A,B", ","), ("A;B", ";"), ("A\tB", "\t"), ('A"B', ","), ("A\nB", ","),
+        ("A\r", ","), ("\u2028B", ";"),
+    ], ids=["comma", "semicolon", "tab", "quote", "newline", "return", "line-separator"])
+    def test_writer_refuses_a_ticker_it_cannot_write(self, ticker, delimiter):
+        m = DistanceMatrix((ticker, "C", "D"), "imported", np.ones((3, 3)) - np.eye(3))
+        with pytest.raises(ValidationError, match=f"^{re.escape(repr(ticker))}: "):
+            m.to_delimited(delimiter)
+
+    def test_writer_keeps_another_delimiter_in_a_ticker(self):
+        m = DistanceMatrix(("A;B", "C", " "), "imported", np.ones((3, 3)) - np.eye(3))
+        back = DistanceMatrix.from_delimited(m.to_delimited())
+        assert back.tickers == m.tickers and np.array_equal(back.values, m.values)
 
     def test_pair_count_is_derived(self):
         text = ",A,B,C,D\nA,0,1,2,3\nB,1,0,4,5\nC,2,4,0,6\nD,3,5,6,0\n"

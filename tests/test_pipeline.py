@@ -317,6 +317,34 @@ class TestRunPipeline:
         error = manifest["combinations"]["mir_a10"]["error"]
         assert error.startswith("InsufficientDataError") and "10 bins" in error
 
+    def test_undefined_statistics_are_null_in_strict_json(self, tmp_path):
+        # the PMFG of 4 series is K4, where every node is equally central, so
+        # neither correlation of the pmfg centralities is defined
+        path = tmp_path / "prices.csv"
+        spec = SynthSpec(mode="factor", n_instruments=4, n_rows=801, seed=3)
+        path.write_text(generate_price_table(spec))
+        out = tmp_path / "out"
+        cfg = AnalysisConfig(input_path=str(path), output_dir=str(out), alphabet_sizes=[4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            manifest = run_pipeline(cfg)
+        assert manifest["status"] == "ok"
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        docs = {p.name: json.loads(p.read_text(), parse_constant=refuse)
+                for p in out.glob("*.json")}
+        assert "comparison_report.json" in docs
+        for rows in (docs["comparison_report.json"], docs["manifest.json"]["comparisons"]):
+            assert sorted(row["kind"] for row in rows) == ["mst", "pmfg"]
+            for row in rows:
+                stats = [row["pearson"], row["spearman"]]
+                if row["kind"] == "pmfg":
+                    assert stats == [None, None]
+                else:
+                    assert all(-1.0 <= r <= 1.0 for r in stats)
+
     def test_manifest_written(self, price_file, tmp_path):
         out = tmp_path / "out"
         manifest = run_pipeline(small_config(price_file, out))

@@ -54,16 +54,18 @@ def transition_matrix(graph: FilteredGraph, weighted: bool = False) -> np.ndarra
     """Row-stochastic random-walk matrix of a connected filtered graph.
 
     Unweighted: uniform over neighbours. Weighted: proportional to the
-    similarity 1 - distance of each incident edge. A disconnected graph, a
-    lone node included, raises ``ValidationError`` naming a node that the
-    walk from the first node never reaches.
+    similarity 1 - distance / bound of each incident edge, where the bound
+    is 2 for ``sqrt`` correlation distances and 1 for every other family. A
+    disconnected graph, a lone node included, raises ``ValidationError``
+    naming a node that the walk from the first node never reaches.
     """
     n = graph.n
     index = {t: i for i, t in enumerate(graph.nodes)}
     w = np.zeros((n, n), dtype=float)
+    bound = 2.0 if graph.params.get("variant") == "sqrt" else 1.0
     for u, v, dist in graph.edges:
         i, j = index[u], index[v]
-        weight = max(1.0 - dist, 1e-12) if weighted else 1.0
+        weight = max(1.0 - dist / bound, 1e-12) if weighted else 1.0
         w[i, j] = w[j, i] = weight
     row_sums = w.sum(axis=1)
     # the first node itself counts as reached only if it has a neighbour

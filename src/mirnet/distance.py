@@ -14,7 +14,7 @@ from .errors import (
     UndefinedCorrelationError,
     ValidationError,
 )
-from .ingest import SymbolSequence
+from .ingest import SymbolSequence, unwritable_ticker
 
 METHODS = ("correlation", "mir", "mir_prime")
 CORR_VARIANTS = ("one_minus_r2", "sqrt")
@@ -118,8 +118,8 @@ class DistanceMatrix:
         only entries that the symmetry check lets differ). A ticker holding
         the delimiter, a ``"`` or a line break raises ``ValidationError``.
         """
-        for t in self.tickers:  # a line break anywhere in t splits t + "." in two
-            if delimiter in t or '"' in t or len(f"{t}.".splitlines()) > 1:
+        for t in self.tickers:
+            if delimiter in t or unwritable_ticker(t):
                 raise ValidationError(f"{t!r}: a ticker holding the delimiter, a "
                                       "quote or a line break cannot be written")
         values = self.values

@@ -117,17 +117,17 @@ def load_price_table(
     """Load a delimited price table into one aligned PriceSeries per ticker.
 
     The file must have a header row naming the date column plus one column
-    per ticker; a ticker may not be empty or hold ``,`` or ``"``, since the
-    outputs are comma-delimited whatever the input's delimiter. Rows where
-    any price is missing are dropped from all series, so every returned
-    series shares an identical trading calendar; one ``UserWarning`` gives
-    their count and the first one's ``path:line``. The rows, quoted or not,
-    are parsed straight from the open file in one pass of numpy's C parser
-    (``np.loadtxt``), dates included, and the calendar's order is checked
-    once per table. A table that pass refuses takes the line path: the file
-    is read again line by line, and the lines it keeps stream through the
-    same pass, so that rows are dropped and the culprit is named by
-    ``path:line`` without a list of the lines being held.
+    per ticker; a ticker may not be empty or hold ``,``, ``"`` or a line
+    break, since the outputs are comma-delimited whatever the input's
+    delimiter. Rows where any price is missing are dropped from all series,
+    so every returned series shares an identical trading calendar; one
+    ``UserWarning`` gives their count and the first one's ``path:line``. The
+    rows, quoted or not, are parsed straight from the open file in one pass
+    of numpy's C parser (``np.loadtxt``), dates included, and the calendar's
+    order is checked once per table. A table that pass refuses takes the
+    line path: the file is read again line by line, and the lines it keeps
+    stream through the same pass, so that rows are dropped and the culprit
+    is named by ``path:line`` without a list of the lines being held.
     """
     try:
         with open(path) as fh:
@@ -176,13 +176,18 @@ def _header(path, line, delimiter, date_column):
     if not price_cols:
         raise FormatError(f"{path}: no ticker columns besides '{date_column}'")
     for i in price_cols:
-        if not header[i] or "," in header[i] or '"' in header[i]:
+        if not header[i] or "," in header[i] or unwritable_ticker(header[i]):
             raise FormatError(
-                f"{path}: column {i + 1}: ticker {header[i]!r} is empty or holds "
-                "a comma or a double quote, which the comma-delimited outputs "
-                "cannot carry"
+                f"{path}: column {i + 1}: ticker {header[i]!r} is empty or holds a comma, "
+                "a double quote or a line break, which the comma-delimited outputs cannot carry"
             )
     return header, date_idx, price_cols
+
+
+def unwritable_ticker(ticker: str) -> bool:
+    """Whether no delimited output can carry ``ticker``: it holds a ``"`` or
+    a line break by ``str.splitlines``, which splits ``ticker + "."`` in two."""
+    return '"' in ticker or len(f"{ticker}.".splitlines()) > 1
 
 
 def _direct_table(lines, width, price_cols, date_idx, delimiter):

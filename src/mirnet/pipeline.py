@@ -182,63 +182,53 @@ def _combination_results(cfg: AnalysisConfig, combos: list[dict], returns) -> li
 
 def _lane_results(fork, lanes: int, cfg: AnalysisConfig, combos: list[dict], returns) -> list:
     """``_recorded_combination`` of each of ``combos``, in that order, from
-    ``lanes`` forked children that share one queue, MIR first as the longest.
+    ``lanes`` forked children that walk one queue, MIR first as the longest.
 
-    The inputs reach the lanes through the fork. Each lane sends its results
-    over a one-way pipe of its own, and this process reads every pipe as soon
-    as it is ready: a pipe holds 64 KB, so a lane whose pipe went unread would
-    block in ``send`` instead of taking the next combination. A lane that
-    exits before its combinations arrive (killed, say) raises
-    ``RuntimeError`` naming them; no lane outlives the call."""
-    from multiprocessing.connection import wait
+    The inputs reach the lanes through the fork, and one spool directory in
+    the output directory is their queue and mailbox (``_lane``). This process
+    joins every lane, reads the results and removes the spool, which no lane
+    may do: a lane exits through ``os._exit``, which runs no finalizer. A
+    combination without a result (its lane died) raises ``RuntimeError``
+    naming it. No lane waits on another or outlives the call."""
+    import pickle
 
     queue = sorted(range(len(combos)), key=lambda i: combos[i]["method"] == "correlation")
-    taken = fork.Value("i", 0)
-    readers, recorded = {}, {}  # readers: each open pipe's lane
-    try:
-        for _ in range(lanes):
-            reader, writer = fork.Pipe(duplex=False)
-            child = fork.Process(target=_lane, args=(writer, taken, queue, cfg, combos, returns))
-            child.start()
-            readers[reader] = child
-            writer.close()
-        exitcode = 0
-        while readers and not exitcode:
-            for reader in wait(list(readers)):
-                try:
-                    index, result, caught = reader.recv()
-                except (EOFError, OSError):  # OSError: the lane died within a message
-                    child = readers.pop(reader)
-                    reader.close()
-                    child.join()
-                    exitcode = exitcode or child.exitcode
-                else:
-                    recorded[index] = result, caught
-        missing = [_combo_name(combo) for i, combo in enumerate(combos) if i not in recorded]
+    children = []
+    with tempfile.TemporaryDirectory(prefix=".lanes-", dir=cfg.output_dir) as spool:
+        results = [Path(spool, str(i)) for i in range(len(combos))]
+        try:
+            for _ in range(lanes):
+                child = fork.Process(target=_lane, args=(spool, queue, cfg, combos, returns))
+                child.start()
+                children.append(child)
+            for child in children:
+                child.join()
+        finally:
+            for child in children:
+                child.kill()  # a no-op on a lane that has exited
+                child.join()
+        missing = [_combo_name(c) for c, result in zip(combos, results) if not result.exists()]
         if missing:
+            exitcode = next((child.exitcode for child in children if child.exitcode), 0)
             raise RuntimeError(f"a combination lane exited with code {exitcode} before "
                                f"sending {', '.join(missing)}")
-        return [recorded[i] for i in range(len(combos))]
-    finally:
-        for reader, child in readers.items():
-            child.kill()
-            child.join()
-            reader.close()
+        return [pickle.loads(result.read_bytes()) for result in results]
 
 
-def _lane(writer, taken, queue: list[int], cfg: AnalysisConfig, combos: list[dict],
-          returns) -> None:
-    """A forked lane: take the next combination from ``queue`` until it runs
-    out, and send each one's index, result and warnings over ``writer``."""
-    while True:
-        with taken.get_lock():
-            position = taken.value
-            taken.value += 1
-        if position >= len(queue):
-            break
-        index = queue[position]
-        writer.send((index, *_recorded_combination(cfg, combos[index], returns)))
-    writer.close()
+def _lane(spool: str, queue: list[int], cfg: AnalysisConfig, combos: list[dict], returns) -> None:
+    """A forked lane: claim each unclaimed combination of ``queue`` by creating
+    ``<index>.taken`` in ``spool`` exclusively, and leave its pickled
+    ``_recorded_combination`` there as ``<index>``, renamed from ``<index>.part``."""
+    import pickle
+
+    for index in queue:
+        try:
+            Path(spool, f"{index}.taken").touch(exist_ok=False)
+        except FileExistsError:
+            continue
+        part = Path(spool, f"{index}.part")
+        part.write_bytes(pickle.dumps(_recorded_combination(cfg, combos[index], returns)))
+        part.replace(Path(spool, str(index)))
 
 
 def _recorded_combination(cfg: AnalysisConfig, combo: dict, returns) -> tuple:

@@ -99,6 +99,14 @@ class TestTransitionMatrix:
         assert P[0, 1] == pytest.approx(0.9)
         assert P[0, 2] == pytest.approx(0.1)
 
+    def test_weighted_walk_on_sqrt_distances_halves_them(self):
+        # sqrt distances lie in [0, 2], so the similarity is 1 - d/2
+        g = FilteredGraph("mst", ("A", "B", "C"), [("A", "B", 0.2), ("A", "C", 1.8)],
+                          "correlation", {"variant": "sqrt"})
+        P = transition_matrix(g, weighted=True)
+        assert P[0, 1] == pytest.approx(0.9)
+        assert P[0, 2] == pytest.approx(0.1)
+
     def test_disconnected_rejected(self):
         # a node outside the first node's component, a lone node, and a first
         # node without neighbours

@@ -117,6 +117,22 @@ def test_run_missing_input_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_with_an_unwritable_ticker_exits_one_naming_the_column(
+    price_file, tmp_path, capsys
+):
+    # a form feed ends no line for open(), but every output would break there
+    lines = price_file.read_text().splitlines(keepends=True)
+    header = lines[0].split(",")
+    header[2] = "SYN\f01"
+    path = tmp_path / "prices.csv"
+    path.write_text(",".join(header) + "".join(lines[1:]))
+    out = tmp_path / "out"
+    code = cli.main(["run", "--input", str(path), "--output-dir", str(out)])
+    assert code == cli.EXIT_INPUT == 1
+    assert f"{path}: column 3: ticker 'SYN\\x0c01'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_run_requires_input_and_output(capsys):
     code = cli.main(["run", "--input", "x.csv"])
     assert code == cli.EXIT_INPUT

@@ -441,8 +441,9 @@ class TestDistanceMatrix:
 
     @pytest.mark.parametrize("ticker, delimiter", [
         ("A,B", ","), ("A;B", ";"), ("A\tB", "\t"), ('A"B', ","), ("A\nB", ","),
-        ("A\r", ","), ("\u2028B", ";"),
-    ], ids=["comma", "semicolon", "tab", "quote", "newline", "return", "line-separator"])
+        ("A\r", ","), ("\u2028B", ";"), ("SYN\x0c01", ","), ("A\x85", "\t"),
+    ], ids=["comma", "semicolon", "tab", "quote", "newline", "return", "line-separator",
+            "form-feed", "next-line"])
     def test_writer_refuses_a_ticker_it_cannot_write(self, ticker, delimiter):
         m = DistanceMatrix((ticker, "C", "D"), "imported", np.ones((3, 3)) - np.eye(3))
         with pytest.raises(ValidationError, match=f"^{re.escape(repr(ticker))}: "):

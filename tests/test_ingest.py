@@ -119,13 +119,21 @@ class TestLoadPriceTable:
             ('date,"A,B",C,D', ",", 2, "'A,B'"),
             ('date,C,"say ""hi""",D', ",", 3, "'say \"hi\"'"),
             ("date\tC\tA,B", "\t", 3, "'A,B'"),
+            # a line break by str.splitlines that open() leaves inside a line
+            ("date,SYN00,SYN\x0c01,SYN02", ",", 3, "'SYN\\x0c01'"),
+            ("date,A\vB,C", ",", 2, "'A\\x0bB'"),
+            ("date;C;A\x1cB", ";", 3, "'A\\x1cB'"),
+            ("date,C,A\x85B", ",", 3, "'A\\x85B'"),
+            ("date,C,A\u2028B", ",", 3, "'A\\u2028B'"),
+            ("date,C,A\u2029B", ",", 3, "'A\\u2029B'"),
         ],
     )
     def test_unusable_ticker_names_path_and_column(
         self, tmp_path, header, delimiter, column, ticker
     ):
         # the outputs are comma-delimited whatever the input delimiter, so a
-        # ticker holding ',' or '"' would write a matrix that cannot be read
+        # ticker holding ',', '"' or a line break would write a matrix that
+        # cannot be read
         width = len(next(csv.reader([header], delimiter=delimiter))) - 1
         body = [delimiter.join(["2020-01-0%d" % d] + ["1"] * width) for d in (1, 2)]
         path = write(tmp_path, "\n".join([header, *body]) + "\n")

@@ -4,7 +4,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -345,6 +344,19 @@ class TestRunPipeline:
                 else:
                     assert all(-1.0 <= r <= 1.0 for r in stats)
 
+    @pytest.mark.parametrize("corr_variant", ["one_minus_r2", "sqrt"])
+    def test_weighted_walk_on_either_correlation_distance(self, tmp_path, corr_variant):
+        # sqrt distances reach 2: as 1 - d, the similarity of a long edge
+        # would floor at 1e-12 and leave a first-passage system ill-conditioned
+        path = tmp_path / "prices.csv"
+        spec = SynthSpec(mode="factor", n_instruments=15, n_rows=751, seed=1)
+        path.write_text(generate_price_table(spec))
+        manifest = run_pipeline(AnalysisConfig(
+            str(path), str(tmp_path / "out"), methods=["correlation"],
+            corr_variant=corr_variant, weighted_walk=True,
+        ))
+        assert manifest["status"] == "ok", manifest["combinations"]
+
     def test_manifest_written(self, price_file, tmp_path):
         out = tmp_path / "out"
         manifest = run_pipeline(small_config(price_file, out))
@@ -599,9 +611,8 @@ class TestCombinationPool:
 
         monkeypatch.setattr(pipeline, "_combination", dies_on_mir)
         on_cpus(monkeypatch, 3)
-        # the correlation lane may not have sent its result when the MIR one dies
-        with pytest.raises(RuntimeError,
-                           match=r"exited with code 1 before sending (correlation, )?mir_a4$"):
+        # the correlation lane finishes its combination before the error is raised
+        with pytest.raises(RuntimeError, match=r"exited with code 1 before sending mir_a4$"):
             run_pipeline(small_config(price_file, out))
         assert multiprocessing.active_children() == []
         assert list(out.iterdir()) == []
@@ -627,24 +638,51 @@ class TestCombinationPool:
             runs.append(snapshot(out))
             if cpus == 2:
                 pids, names = zip(*(line.split() for line in ran.read_text().splitlines()))
+                assert not list(out.glob(".lanes-*"))
         assert runs[0] == runs[1]
         assert sorted(names) == sorted(pipeline._combo_name(c) for c in cfg.combinations())
         assert len(names) == 5 and len(set(pids)) <= 2
         assert str(os.getpid()) not in pids
         assert multiprocessing.active_children() == []
 
+    def test_more_lanes_than_cores_run_each_combination_once(
+        self, price_file, tmp_path, monkeypatch
+    ):
+        # 8 lanes race for 11 combinations' claims on however few cores the
+        # machine has: a claim lost or granted twice shows as a missing or
+        # repeated name
+        ran = tmp_path / "ran.txt"
+
+        def logged(cfg, combo, returns):
+            with ran.open("a") as f:
+                f.write(f"{pipeline._combo_name(combo)}\n")
+            return {}, {}, {"status": "ok", "artifacts": {}, "graphs": {}}
+
+        monkeypatch.setattr(pipeline, "_combination", logged)
+        on_cpus(monkeypatch, 8)
+        cfg = small_config(price_file, tmp_path / "out",
+                           methods=["correlation", "mir", "mir_prime"],
+                           alphabet_sizes=[2, 3, 4, 5, 6])
+        expected = sorted(pipeline._combo_name(c) for c in cfg.combinations())
+        assert len(expected) == 11
+        for _ in range(5):
+            ran.write_text("")
+            with deadline(60):
+                assert run_pipeline(cfg)["status"] == "ok"
+            assert sorted(ran.read_text().splitlines()) == expected
+        assert multiprocessing.active_children() == []
+
     def test_lane_dying_after_one_result_names_only_the_rest(
         self, price_file, tmp_path, monkeypatch
     ):
         # two lanes share mir_a4, mir_a10, then correlation: the lane that
-        # takes correlation has sent one result, and dies after the other
-        # lane has had time to send its own
+        # takes correlation dies, and the MIR results are awaited, so only
+        # correlation is named
         out = tmp_path / "out"
         combination = pipeline._combination
 
         def dies_on_correlation(cfg, combo, returns):
             if combo["method"] == "correlation":
-                time.sleep(1)
                 os._exit(1)
             return combination(cfg, combo, returns)
 
@@ -655,9 +693,32 @@ class TestCombinationPool:
         assert multiprocessing.active_children() == []
         assert list(out.iterdir()) == []
 
-    def test_lanes_sending_more_than_a_pipe_holds(self, price_file, tmp_path, monkeypatch):
-        # each result outgrows a pipe's buffer many times over, so a lane
-        # blocks in send until this process reads its pipe
+    def test_lane_dying_with_its_claim_stalls_no_other_lane(
+        self, price_file, tmp_path, monkeypatch
+    ):
+        # the lane that claims mir_a4, first in the queue, dies holding the
+        # claim: the other lane runs mir_a10 and correlation, and only mir_a4
+        # is named
+        out = tmp_path / "out"
+        recorded = pipeline._recorded_combination
+
+        def dies_on_mir_a4(cfg, combo, returns):
+            if pipeline._combo_name(combo) == "mir_a4":
+                os._exit(9)
+            return recorded(cfg, combo, returns)
+
+        monkeypatch.setattr(pipeline, "_recorded_combination", dies_on_mir_a4)
+        on_cpus(monkeypatch, 2)
+        with deadline(60), pytest.raises(
+            RuntimeError, match=r"exited with code 9 before sending mir_a4$"
+        ):
+            run_pipeline(small_config(price_file, out, alphabet_sizes=[4, 10]))
+        assert multiprocessing.active_children() == []
+        assert list(out.iterdir()) == []
+
+    def test_results_over_a_megabyte_come_back_whole(self, price_file, tmp_path, monkeypatch):
+        # each result is written to the spool and read back in one piece, at
+        # more than a megabyte as at a few kilobytes
         out = tmp_path / "out"
         cfg = small_config(price_file, out, alphabet_sizes=[4, 10])
         combination = pipeline._combination

@@ -139,7 +139,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_export(args) -> int:
     matrix = DistanceMatrix.from_delimited(Path(args.matrix).read_text(), args.delimiter)
-    fg = getattr(graph, f"build_{args.kind}")(matrix)
+    fg = graph.BUILDERS[args.kind](matrix)
     text = graph.EXPORTERS[args.format](fg)
     if args.out:
         Path(args.out).write_text(text)

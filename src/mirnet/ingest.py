@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import csv
+import datetime
 import io
 import itertools
 import math
-import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -49,7 +49,7 @@ class PriceSeries:
 
 
 class _Calendar(tuple):
-    """Dates this module has checked to be strictly increasing.
+    """Dates this module has checked to be strictly increasing days.
 
     The series of one price table share one such tuple, so the loader walks
     the calendar once per table instead of once per series.
@@ -58,14 +58,21 @@ class _Calendar(tuple):
 
 def _calendar(dates, culprit) -> _Calendar:
     """``dates`` as a ``_Calendar``, or a ValidationError naming ``culprit(k)``
-    for the first position k whose date does not follow the one before it."""
+    for the first position k whose date is not a day that exists, written
+    ``YYYY-MM-DD``, or does not follow the one before it (such days sort as
+    strings in calendar order)."""
     dates = tuple(dates)
-    if not all(map(operator.lt, dates, dates[1:])):
-        k = next(k for k in range(1, len(dates)) if dates[k - 1] >= dates[k])
-        raise ValidationError(
-            f"{culprit(k)}: dates not strictly increasing "
-            f"({dates[k - 1]!r} then {dates[k]!r})"
-        )
+    for k, date in enumerate(dates):
+        try:
+            day = datetime.date.fromisoformat(date).isoformat() == date
+        except (TypeError, ValueError):
+            day = False
+        if not day:
+            raise ValidationError(f"{culprit(k)}: date {date!r} is not a day written YYYY-MM-DD")
+        if k and dates[k - 1] >= date:
+            raise ValidationError(
+                f"{culprit(k)}: dates not strictly increasing ({dates[k - 1]!r} then {date!r})"
+            )
     return _Calendar(dates)
 
 
@@ -123,8 +130,8 @@ def load_price_table(
     so every returned series shares an identical trading calendar; one
     ``UserWarning`` gives their count and the first one's ``path:line``. The
     rows, quoted or not, are parsed straight from the open file in one pass
-    of numpy's C parser (``np.loadtxt``), dates included, and the calendar's
-    order is checked once per table. A table that pass refuses takes the
+    of numpy's C parser (``np.loadtxt``), dates included, and the calendar
+    (``YYYY-MM-DD`` days, strictly increasing) is checked once per table. A table that pass refuses takes the
     line path: the file is read again line by line, and the lines it keeps
     stream through the same pass, so that rows are dropped and the culprit
     is named by ``path:line`` without a list of the lines being held.

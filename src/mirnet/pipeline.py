@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import sys
 import tempfile
 import traceback
@@ -143,7 +142,7 @@ def _combination(cfg: AnalysisConfig, combo: dict, returns) -> tuple[dict, dict,
         }
         graphs, centralities = {}, {}
         for kind in cfg.graph_kinds:
-            fg = getattr(graph_mod, f"build_{kind}")(matrix)
+            fg = graph_mod.BUILDERS[kind](matrix)
             for fmt, export in graph_mod.EXPORTERS.items():
                 texts[f"{name}_{kind}.{fmt}"] = export(fg)
             cv = centrality_mod.markov_centrality(fg, weighted=cfg.weighted_walk)
@@ -157,87 +156,74 @@ def _combination(cfg: AnalysisConfig, combo: dict, returns) -> tuple[dict, dict,
     return texts, centralities, {"status": "ok", "artifacts": artifacts, "graphs": graphs}
 
 
-def _combination_results(cfg: AnalysisConfig, combos: list[dict], returns) -> list:
+def _combination_results(cfg: AnalysisConfig, combos: list[dict], returns, work: Path) -> list:
     """``_combination`` of each of ``combos``, in that order.
 
     With more than one combination, more than one usable CPU and the ``fork``
-    start method, they run in min(combinations, CPUs) forked lanes
-    (``_lane_results``); otherwise, and in a daemonic process (which may not
-    start processes), one after another here. A lane threads its
-    first-passage solves as the calling process would
-    (``centrality.free_cpus``)."""
+    start method, they run in min(combinations, CPUs) forked lanes that walk
+    one queue in the run's work directory ``work``, MIR first as the longest
+    (``_lane``); otherwise, and in a daemonic process (which may not start
+    processes), one after another here. This process joins every lane, kills
+    any still alive and issues their warnings again; no lane removes ``work``,
+    as a lane exits through ``os._exit``. A combination without a result (its
+    lane died) raises ``RuntimeError`` naming it. A lane threads its
+    first-passage solves as the calling process would (``centrality.free_cpus``)."""
     lanes = min(len(combos), centrality_mod.usable_cpus())
     if lanes > 1:
         import multiprocessing
 
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and not multiprocessing.current_process().daemon):
-            recorded = _lane_results(multiprocessing.get_context("fork"), lanes,
-                                     cfg, combos, returns)
-            for _, caught in recorded:
-                _reissue(caught)
-            return [result for result, _ in recorded]
-    return [_combination(cfg, combo, returns) for combo in combos]
-
-
-def _lane_results(fork, lanes: int, cfg: AnalysisConfig, combos: list[dict], returns) -> list:
-    """``_recorded_combination`` of each of ``combos``, in that order, from
-    ``lanes`` forked children that walk one queue, MIR first as the longest.
-
-    The inputs reach the lanes through the fork, and one spool directory in
-    the output directory is their queue and mailbox (``_lane``). This process
-    joins every lane, reads the results and removes the spool, which no lane
-    may do: a lane exits through ``os._exit``, which runs no finalizer. A
-    combination without a result (its lane died) raises ``RuntimeError``
-    naming it. No lane waits on another or outlives the call."""
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon):
+            lanes = 1
+    if lanes < 2:
+        return [_combination(cfg, combo, returns) for combo in combos]
     import pickle
 
+    fork = multiprocessing.get_context("fork")
     queue = sorted(range(len(combos)), key=lambda i: combos[i]["method"] == "correlation")
     children = []
-    with tempfile.TemporaryDirectory(prefix=".lanes-", dir=cfg.output_dir) as spool:
-        results = [Path(spool, str(i)) for i in range(len(combos))]
-        try:
-            for _ in range(lanes):
-                child = fork.Process(target=_lane, args=(spool, queue, cfg, combos, returns))
-                child.start()
-                children.append(child)
-            for child in children:
-                child.join()
-        finally:
-            for child in children:
-                child.kill()  # a no-op on a lane that has exited
-                child.join()
-        missing = [_combo_name(c) for c, result in zip(combos, results) if not result.exists()]
-        if missing:
-            exitcode = next((child.exitcode for child in children if child.exitcode), 0)
-            raise RuntimeError(f"a combination lane exited with code {exitcode} before "
-                               f"sending {', '.join(missing)}")
-        return [pickle.loads(result.read_bytes()) for result in results]
+    try:
+        for _ in range(lanes):
+            child = fork.Process(target=_lane, args=(work, queue, cfg, combos, returns))
+            child.start()
+            children.append(child)
+        for child in children:
+            child.join()
+    finally:
+        for child in children:
+            child.kill()  # a no-op on a lane that has exited
+            child.join()
+    results = [work / str(i) for i in range(len(combos))]
+    missing = [_combo_name(c) for c, result in zip(combos, results) if not result.exists()]
+    if missing:
+        exitcode = next((child.exitcode for child in children if child.exitcode), 0)
+        raise RuntimeError(f"a combination lane exited with code {exitcode} before "
+                           f"sending {', '.join(missing)}")
+    recorded = [pickle.loads(result.read_bytes()) for result in results]
+    for _, caught in recorded:
+        _reissue(caught)
+    return [result for result, _ in recorded]
 
 
-def _lane(spool: str, queue: list[int], cfg: AnalysisConfig, combos: list[dict], returns) -> None:
+def _lane(work: Path, queue: list[int], cfg: AnalysisConfig, combos: list[dict], returns) -> None:
     """A forked lane: claim each unclaimed combination of ``queue`` by creating
-    ``<index>.taken`` in ``spool`` exclusively, and leave its pickled
-    ``_recorded_combination`` there as ``<index>``, renamed from ``<index>.part``."""
+    ``<index>.taken`` in ``work`` exclusively, and leave there as ``<index>``,
+    renamed from ``<index>.part``, its pickled ``_combination`` and the
+    warnings that passed the filters the lane inherited (a warning they turn
+    into an error fails the combination here, as in the calling process)."""
     import pickle
 
     for index in queue:
         try:
-            Path(spool, f"{index}.taken").touch(exist_ok=False)
+            (work / f"{index}.taken").touch(exist_ok=False)
         except FileExistsError:
             continue
-        part = Path(spool, f"{index}.part")
-        part.write_bytes(pickle.dumps(_recorded_combination(cfg, combos[index], returns)))
-        part.replace(Path(spool, str(index)))
-
-
-def _recorded_combination(cfg: AnalysisConfig, combo: dict, returns) -> tuple:
-    """``_combination`` in a lane, and the warnings that passed the filters
-    the lane inherited (a warning they turn into an error fails the
-    combination here, as in the calling process)."""
-    with warnings.catch_warnings(record=True) as caught:
-        result = _combination(cfg, combo, returns)
-    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        with warnings.catch_warnings(record=True) as caught:
+            result = _combination(cfg, combos[index], returns)
+        warned = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        part = work / f"{index}.part"
+        part.write_bytes(pickle.dumps((result, warned)))
+        part.replace(work / str(index))
 
 
 def _reissue(caught: list[tuple]) -> None:
@@ -257,7 +243,9 @@ def _reissue(caught: list[tuple]) -> None:
 def run_pipeline(cfg: AnalysisConfig) -> dict:
     """Load, run each combination (``_combination_results``), compare
     (``_comparison``) and publish (``_publish``). A failing combination
-    contributes no files."""
+    contributes no files. Once the table has loaded, the run works in one
+    directory of its own in the output directory, which it removes: the
+    lanes' queue and mailbox, and the staging area of every published file."""
     out_root = Path(cfg.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     # only the returns are kept: the prices are freed before any combination
@@ -281,22 +269,24 @@ def run_pipeline(cfg: AnalysisConfig) -> dict:
     files: dict[str, str] = {}
     centralities: dict[tuple[str, str], centrality_mod.CentralityVector] = {}
     combos = cfg.combinations()
-    for combo, (texts, combo_centralities, entry) in zip(
-        combos, _combination_results(cfg, combos, returns)
-    ):
-        files.update(texts)
-        centralities.update(combo_centralities)
-        manifest["combinations"][_combo_name(combo)] = entry
+    with tempfile.TemporaryDirectory(prefix=".run-", dir=out_root) as work:
+        work = Path(work)
+        for combo, (texts, combo_centralities, entry) in zip(
+            combos, _combination_results(cfg, combos, returns, work)
+        ):
+            files.update(texts)
+            centralities.update(combo_centralities)
+            manifest["combinations"][_combo_name(combo)] = entry
 
-    comparison_files, comparison_fields = _comparison(cfg, centralities)
-    files.update(comparison_files)
-    manifest.update(comparison_fields)
-    statuses = {e["status"] for e in manifest["combinations"].values()}
-    manifest["status"] = (
-        "ok" if statuses <= {"ok"} else "partial" if "ok" in statuses else "failed"
-    )
-    files["manifest.json"] = _json(manifest)
-    _publish(out_root, files)
+        comparison_files, comparison_fields = _comparison(cfg, centralities)
+        files.update(comparison_files)
+        manifest.update(comparison_fields)
+        statuses = {e["status"] for e in manifest["combinations"].values()}
+        manifest["status"] = (
+            "ok" if statuses <= {"ok"} else "partial" if "ok" in statuses else "failed"
+        )
+        files["manifest.json"] = _json(manifest)
+        _publish(out_root, work, files)
     return manifest
 
 
@@ -346,12 +336,14 @@ def _json(doc) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _publish(out_root: Path, files: dict[str, str]) -> None:
-    """Write ``files`` into one staging directory in ``out_root``, then rename
-    each into place in the order given, so a failed write leaves the previous
-    run's files as they were. Then delete, by basename only, the files that the
-    previous manifest lists (none if it is missing or unreadable) and this run
-    did not write."""
+def _publish(out_root: Path, work: Path, files: dict[str, str]) -> None:
+    """Write ``files`` into the run's work directory ``work``, then rename
+    each into ``out_root`` in the order given, so a failed write leaves the
+    previous run's files as they were. Then delete, by basename only, the files
+    that the previous manifest lists (none if it is missing or unreadable) and
+    this run did not write. Only ``files`` leave ``work``: the lanes' spool
+    names there (``<index>``, ``<index>.taken``, ``<index>.part``) carry no
+    method stem and no extension, so no artifact name is one of them."""
     try:
         previous = json.loads((out_root / "manifest.json").read_text())
         listed = {
@@ -363,14 +355,10 @@ def _publish(out_root: Path, files: dict[str, str]) -> None:
             listed.update(COMPARISON_FILES)
     except (OSError, ValueError, LookupError, TypeError, AttributeError):
         listed = set()
-    staging = Path(tempfile.mkdtemp(prefix=".publish-", dir=out_root))
-    try:
-        for fname, text in files.items():
-            (staging / fname).write_text(text)
-        for fname in files:
-            (staging / fname).replace(out_root / fname)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+    for fname, text in files.items():
+        (work / fname).write_text(text)
+    for fname in files:
+        (work / fname).replace(out_root / fname)
     for fname in listed - set(files):
         if (out_root / fname).is_file():
             (out_root / fname).unlink()

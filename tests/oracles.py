@@ -9,9 +9,11 @@ data and error classes.
 from __future__ import annotations
 
 import csv
+import datetime
 import io
 import itertools
 import math
+import re
 
 import networkx as nx
 import numpy as np
@@ -23,9 +25,9 @@ from mirnet.ingest import PriceSeries
 def oracle_load_price_table(path, *, delimiter=",", date_column="date"):
     """The row loop ``load_price_table`` replaced: ``csv.reader`` and ``float``.
 
-    Rows with a blank price are dropped silently; the calendar order is
-    checked here, before any ``PriceSeries`` is built, with the message the
-    first series used to raise.
+    Rows with a blank price are dropped silently; the calendar (every date a
+    ``YYYY-MM-DD`` day, in order) is checked here, before the row count and
+    before any ``PriceSeries`` is built.
     """
     try:
         with open(path, newline="") as fh:
@@ -79,17 +81,29 @@ def oracle_load_price_table(path, *, delimiter=",", date_column="date"):
         for t in tickers:
             columns[t].append(values[t])
 
+    if any(a >= b for a, b in zip(dates, dates[1:])) or not all(map(_is_day, dates)):
+        raise ValidationError(f"{tickers[0]}: dates not strictly increasing YYYY-MM-DD days")
     if len(dates) < 2:
         raise InsufficientDataError(
             f"{path}: only {len(dates)} usable rows after alignment (need >= 2)"
         )
-    if any(a >= b for a, b in zip(dates, dates[1:])):
-        raise ValidationError(f"{tickers[0]}: dates not strictly increasing")
     calendar = tuple(dates)
     return [
         PriceSeries(ticker=t, dates=calendar, prices=np.asarray(columns[t]))
         for t in tickers
     ]
+
+
+def _is_day(text: str) -> bool:
+    """Whether ``text`` is four, two and two digits joined by ``-`` that
+    ``strptime`` reads as a day."""
+    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        return False
+    try:
+        datetime.datetime.strptime(text, "%Y-%m-%d")
+    except ValueError:
+        return False
+    return True
 
 
 def brute_match_lengths(seq) -> list[int]:

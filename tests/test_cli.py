@@ -53,7 +53,8 @@ def test_run_partial_exit_code(tmp_path, capsys):
     for i in range(620):
         a = 100.0 * (1 + 0.001 * ((i * 7919) % 13 - 6))
         b = 50.0 * (1 + 0.002 * ((i * 104729) % 17 - 8))
-        lines.append(f"2020-{i // 28 + 1:02d}-{i % 28 + 1:02d},{a},{b},25.0")
+        day = f"{2020 + i // 336}-{i // 28 % 12 + 1:02d}-{i % 28 + 1:02d}"
+        lines.append(f"{day},{a},{b},25.0")
     path = tmp_path / "degenerate.csv"
     path.write_text("\n".join(lines) + "\n")
 
@@ -355,7 +356,8 @@ def test_entropy_constant_series_notes_degeneracy(tmp_path, capsys):
     lines = ["date,A,B"]
     for i in range(600):
         b = 10.0 * (1 + 0.001 * ((i * 31) % 7 - 3))
-        lines.append(f"2020-{i // 28 + 1:02d}-{i % 28 + 1:02d},5.0,{b}")
+        day = f"{2020 + i // 336}-{i // 28 % 12 + 1:02d}-{i % 28 + 1:02d}"
+        lines.append(f"{day},5.0,{b}")
     path = tmp_path / "const.csv"
     path.write_text("\n".join(lines) + "\n")
     code = cli.main(

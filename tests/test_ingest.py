@@ -278,6 +278,31 @@ class TestLoadPriceTable:
             f"dropped 1 row(s) with a missing price, the first at {path}:3"
         ]
 
+    @pytest.mark.parametrize(
+        "body, line, date",
+        [
+            # as strings, 2020-1-10 sorts before 2020-1-9
+            ("2020-1-9,1,2\n2020-1-10,1,2\n", 2, "2020-1-9"),
+            # as strings, these three are in order
+            ("2020-1-19,1,2\n2020-1-2,1,2\n2020-1-20,1,2\n", 2, "2020-1-19"),
+            ("2020-02-28,1,2\n2020-02-30,1,2\n2020-03-01,1,2\n", 3, "2020-02-30"),
+            ("20200108,1,2\n20200109,1,2\n", 2, "20200108"),
+            ("2020-01-08,1,2\n2020-01-09T00,1,2\n", 3, "2020-01-09T00"),
+            ('"Jan 02, 2020",1,2\n"Jan 03, 2020",1,2\n', 2, "Jan 02, 2020"),
+            # a dropped row keeps its line: the bad date is on line 4
+            ("2020-01-08,1,2\n2020-01-09,1,\n2020-1-10,1,2\n", 4, "2020-1-10"),
+        ],
+        ids=["unpadded", "unpadded-string-order", "no-such-day", "basic-format",
+             "time-of-day", "month-name", "below-a-dropped-row"],
+    )
+    def test_dates_are_iso_days(self, tmp_path, body, line, date):
+        path = write(tmp_path, "date,A,B\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValidationError) as exc:
+                load_price_table(path)
+        assert str(exc.value) == f"{path}:{line}: date {date!r} is not a day written YYYY-MM-DD"
+
     def test_calendar_checked_once_per_table(self, tmp_path, monkeypatch):
         walks = []
         check = ingest._calendar
@@ -302,20 +327,20 @@ class TestLoadPriceTable:
         assert series[1].dates == ("2020-01-01", "2020-01-02")
 
     @pytest.mark.parametrize(
-        "text",
+        "text, delimiter",
         [
-            'date,A,B\n"2020-01-01","1.5","2"\n"2020-01-02","1.25","3"\n',
-            'date,A,B\n"Jan 02, 2020",1.5,2\n"Jan 03, 2020",1.25,3\n',
-            'date,A,B\n\n"2020-01-01",1.5,2\n\n\n"2020-01-02",1.25,3\n\n',
+            ('date,A,B\n"2020-01-01","1.5","2"\n"2020-01-02","1.25","3"\n', ","),
+            ('date-A-B\n"2020-01-02"-1.5-2\n"2020-01-03"-1.25-3\n', "-"),
+            ('date,A,B\n\n"2020-01-01",1.5,2\n\n\n"2020-01-02",1.25,3\n\n', ","),
         ],
         ids=["fully-quoted", "delimiter-in-quoted-date", "blank-lines-mid-body"],
     )
-    def test_quoted_table_takes_the_one_pass(self, tmp_path, monkeypatch, text):
+    def test_quoted_table_takes_the_one_pass(self, tmp_path, monkeypatch, text, delimiter):
         def scan(*args):
             raise AssertionError("_scan ran on a table the one pass can read")
 
         monkeypatch.setattr(ingest, "_scan", scan)
-        series = load(write(tmp_path, text))
+        series = load(write(tmp_path, text), delimiter=delimiter)
         assert series[1].prices.tolist() == [2.0, 3.0]
 
     @pytest.mark.parametrize(
@@ -485,7 +510,9 @@ def price_tables(draw):
     for day in days:
         prices = [draw(special if draw(st.integers(0, 9)) == 0 else number) for _ in tickers]
         cells = [cell(p) for p in prices]
-        cells.insert(date_idx, cell(f"2020-01-{day:02d}"))
+        # now and then a date that is no YYYY-MM-DD day, refused by both loaders
+        date = f"2020-01-{day:02d}" if draw(st.integers(0, 19)) else f"2020-1-{day}"
+        cells.insert(date_idx, cell(date))
         if draw(st.integers(0, 19)) == 0:
             cells.pop()  # a short row
         elif any(not p.strip() for p in prices):
@@ -534,6 +561,16 @@ class TestPriceSeriesInvariants:
         with pytest.raises(ValidationError):
             PriceSeries("A", ("2020-01-01", "2020-01-01"), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("dates, bad", [
+        (("2020-01-01", "2020-1-2"), "'2020-1-2'"),
+        (("d1", "d2"), "'d1'"),
+        (("2020-01-01", 2), "2"),
+    ])
+    def test_dates_are_iso_days(self, dates, bad):
+        message = f"^A: date {bad} is not a day written YYYY-MM-DD$"
+        with pytest.raises(ValidationError, match=message):
+            PriceSeries("A", dates, np.array([1.0, 2.0]))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="^A: 3 dates vs 2 prices$"):
             PriceSeries("A", ("d1", "d2", "d3"), np.array([1.0, 2.0]))
@@ -566,20 +603,22 @@ class TestReturnAndSymbolInvariants:
 
 class TestLogReturns:
     def test_constant_prices(self):
-        s = PriceSeries("A", ("d1", "d2", "d3"), np.array([5.0, 5.0, 5.0]))
+        dates = ("2020-01-01", "2020-01-02", "2020-01-03")
+        s = PriceSeries("A", dates, np.array([5.0, 5.0, 5.0]))
         assert log_returns(s).returns.tolist() == [0.0, 0.0]
 
     def test_ln_e(self):
-        s = PriceSeries("A", ("d1", "d2"), np.array([1.0, math.e]))
+        s = PriceSeries("A", ("2020-01-01", "2020-01-02"), np.array([1.0, math.e]))
         assert log_returns(s).returns == pytest.approx([1.0])
 
     def test_ten_percent_move(self):
-        s = PriceSeries("A", ("d1", "d2"), np.array([100.0, 110.0]))
+        s = PriceSeries("A", ("2020-01-01", "2020-01-02"), np.array([100.0, 110.0]))
         # oracle: math.log(1.1)
         assert log_returns(s).returns == pytest.approx([0.09531017980432486])
 
     def test_length(self):
-        s = PriceSeries("A", tuple(f"d{i}" for i in range(10)), np.arange(1.0, 11.0))
+        dates = tuple(f"2020-01-{day:02d}" for day in range(1, 11))
+        s = PriceSeries("A", dates, np.arange(1.0, 11.0))
         assert len(log_returns(s)) == 9
 
 

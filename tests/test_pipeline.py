@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import mirnet
-from mirnet import centrality, pipeline
+from mirnet import centrality, graph, pipeline
 from mirnet.distance import DistanceMatrix, build_matrix
 from mirnet.errors import ValidationError
 from mirnet.ingest import discretize, load_price_table, log_returns
@@ -284,7 +285,8 @@ class TestRunPipeline:
         for i in range(650):
             base *= 1.0 + 0.001 * ((i * 7919) % 13 - 6)
             wobble = 100.0 * (1.0 + 0.01 * ((i * 104729) % 17 - 8) / 8)
-            rows.append(f"2020-{1 + i // 28:02d}-{1 + i % 28:02d},{base:.6f},{wobble:.6f},50.0")
+            day = f"{2020 + i // 336}-{1 + i // 28 % 12:02d}-{1 + i % 28:02d}"
+            rows.append(f"{day},{base:.6f},{wobble:.6f},50.0")
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(rows) + "\n")
         cfg = small_config(bad, tmp_path / "out")
@@ -357,6 +359,21 @@ class TestRunPipeline:
         ))
         assert manifest["status"] == "ok", manifest["combinations"]
 
+    def test_builders_are_found_by_name_when_called(self, price_file, tmp_path, monkeypatch):
+        # a wrapper set on graph.build_pmfg, as a tracer sets one, is the
+        # builder that a run calls
+        built = []
+        build_pmfg = graph.build_pmfg
+
+        def counted(matrix):
+            built.append(matrix.method)
+            return build_pmfg(matrix)
+
+        monkeypatch.setattr(graph, "build_pmfg", counted)
+        on_cpus(monkeypatch, 1)
+        run_pipeline(small_config(price_file, tmp_path / "out"))
+        assert built == ["correlation", "mir"]
+
     def test_manifest_written(self, price_file, tmp_path):
         out = tmp_path / "out"
         manifest = run_pipeline(small_config(price_file, out))
@@ -405,6 +422,29 @@ class TestPublish:
             (out / "old_mst.json").write_text("{}")
             run_pipeline(small_config(price_file, out, methods=["correlation"]))
             assert (out / "old_mst.json").exists()
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["pooled", "serial"])
+    def test_a_run_makes_one_work_directory_and_removes_it(
+        self, price_file, tmp_path, monkeypatch, cpus
+    ):
+        # the lanes' queue and mailbox and the staging of every published
+        # file are one directory, which TemporaryDirectory makes through mkdtemp
+        out = tmp_path / "out"
+        made = []
+        mkdtemp = tempfile.mkdtemp
+
+        def recorded(*args, **kwargs):
+            made.append(Path(mkdtemp(*args, **kwargs)))
+            return str(made[-1])
+
+        monkeypatch.setattr(tempfile, "mkdtemp", recorded)
+        on_cpus(monkeypatch, cpus)
+        for _ in range(2):  # a first run, then a re-run over its files
+            made.clear()
+            assert run_pipeline(small_config(price_file, out))["status"] == "ok"
+            assert [p.parent for p in made] == [out]
+            assert not made[0].exists()
+            assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
 
     # this run writes 23 files: 10 per combination, the two comparison files
     # and the manifest, in that order
@@ -638,7 +678,7 @@ class TestCombinationPool:
             runs.append(snapshot(out))
             if cpus == 2:
                 pids, names = zip(*(line.split() for line in ran.read_text().splitlines()))
-                assert not list(out.glob(".lanes-*"))
+                assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
         assert runs[0] == runs[1]
         assert sorted(names) == sorted(pipeline._combo_name(c) for c in cfg.combinations())
         assert len(names) == 5 and len(set(pids)) <= 2
@@ -697,17 +737,17 @@ class TestCombinationPool:
         self, price_file, tmp_path, monkeypatch
     ):
         # the lane that claims mir_a4, first in the queue, dies holding the
-        # claim: the other lane runs mir_a10 and correlation, and only mir_a4
-        # is named
+        # claim (a lane runs the combination only once it holds the claim):
+        # the other lane runs mir_a10 and correlation, and only mir_a4 is named
         out = tmp_path / "out"
-        recorded = pipeline._recorded_combination
+        combination = pipeline._combination
 
         def dies_on_mir_a4(cfg, combo, returns):
             if pipeline._combo_name(combo) == "mir_a4":
                 os._exit(9)
-            return recorded(cfg, combo, returns)
+            return combination(cfg, combo, returns)
 
-        monkeypatch.setattr(pipeline, "_recorded_combination", dies_on_mir_a4)
+        monkeypatch.setattr(pipeline, "_combination", dies_on_mir_a4)
         on_cpus(monkeypatch, 2)
         with deadline(60), pytest.raises(
             RuntimeError, match=r"exited with code 9 before sending mir_a4$"

@@ -67,14 +67,20 @@ class DistanceMatrix:
         """Read the text ``to_delimited`` writes; the method is ``"imported"``.
 
         The header row lists the tickers after one empty cell, and each row
-        starts with its ticker. A row out of place, a ragged row or a cell
-        that is not a number raises ``FormatError`` naming it; the values are
-        then checked as on construction.
+        starts with its ticker. A ticker that ``to_delimited`` refuses, a row
+        out of place, a ragged row or a cell that is not a number raises
+        ``FormatError`` naming it; the values are then checked as on
+        construction. An empty delimiter raises ``ValidationError``.
         """
+        _check_split_delimiter(delimiter)
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise FormatError("empty distance matrix")
         tickers = tuple(lines[0].split(delimiter)[1:])
+        for k, t in enumerate(tickers):
+            if unwritable_ticker(t, delimiter):
+                raise FormatError(f"column {k + 2}: ticker {t!r} holds a double quote or "
+                                  "a line break, which no delimited output can carry")
         if len(lines) - 1 != len(tickers):
             raise FormatError(
                 f"{len(tickers)} tickers in the header but {len(lines) - 1} rows"
@@ -113,31 +119,26 @@ class DistanceMatrix:
         """Matrix as delimited text with tickers on both axes; each value is
         written as its ``repr``, so ``from_delimited`` reads back the same bits.
 
-        Each pair's ``repr`` is formatted once: an entry below the diagonal
-        reuses its mirror's, unless the two are zeros of opposite sign (the
-        only entries that the symmetry check lets differ). A ticker holding
-        the delimiter, a ``"`` or a line break raises ``ValidationError``.
+        Each pair's ``repr`` is formatted once and placed at both mirror
+        cells; a zero whose mirror has the other sign (the only entries that
+        the symmetry check lets differ) then gets its own. An empty delimiter,
+        or a ticker holding the delimiter, a ``"`` or a line break, raises
+        ``ValidationError``.
         """
+        _check_split_delimiter(delimiter)
         for t in self.tickers:
-            if delimiter in t or unwritable_ticker(t):
+            if unwritable_ticker(t, delimiter):
                 raise ValidationError(f"{t!r}: a ticker holding the delimiter, a "
                                       "quote or a line break cannot be written")
         values = self.values
-        i, j = np.triu_indices(self.n, 1)
-        upper = list(map(repr, values[i, j].tolist()))
-        # the lower triangle row by row is the upper one column by column
-        lower = [upper[k] for k in np.lexsort((i, j)).tolist()]
+        i, j = np.triu_indices(self.n)
+        cells = np.empty(values.shape, dtype=object)
+        cells[i, j] = cells[j, i] = np.array(list(map(repr, values[i, j].tolist())), dtype=object)
         signs = np.signbit(values)
-        for r, c in np.argwhere(np.tril(signs != signs.T, -1)).tolist():
-            lower[r * (r - 1) // 2 + c] = repr(float(values[r, c]))
-        diagonal = list(map(repr, np.diag(values).tolist()))
+        for r, c in np.argwhere(signs != signs.T).tolist():
+            cells[r, c] = repr(float(values[r, c]))
         lines = [delimiter.join(["", *self.tickers])]
-        below = above = 0  # where row r starts in lower and in upper
-        for r, t in enumerate(self.tickers):
-            width = self.n - 1 - r
-            row = [t, *lower[below:below + r], diagonal[r], *upper[above:above + width]]
-            lines.append(delimiter.join(row))
-            below, above = below + r, above + width
+        lines += [delimiter.join([t, *row]) for t, row in zip(self.tickers, cells.tolist())]
         return "\n".join(lines) + "\n"
 
     def report(self) -> dict:
@@ -151,6 +152,12 @@ class DistanceMatrix:
             "clamped_pairs": self.clamped_pairs,
             "clamp_fraction": self.clamp_fraction,
         }
+
+
+def _check_split_delimiter(delimiter: str) -> None:
+    """The matrix text splits on any nonempty delimiter; refuse an empty one."""
+    if not delimiter:
+        raise ValidationError("delimiter: '' is empty, so no cells can be told apart")
 
 
 def _name(series, k: int) -> str:
@@ -223,7 +230,7 @@ def _mir_values(series, method, allow_short, min_length):
     the self-pairs (k, k) first, which give the marginal rates, then the
     upper triangle. MIR = HR(x) + HR(y) - HR(x,y), clamped at 0 (the count is
     of pairs clamped), gives D = (HR(x,y) - MIR) / HR(x,y) or
-    D' = 1 - MIR / max(HR(x), HR(y)).
+    D' = 1 - MIR / max(HR(x), HR(y)), pair by pair in the upper triangle's order.
     """
     if not all(isinstance(s, SymbolSequence) for s in series):
         raise TypeError("MIR distances require discretized SymbolSequence inputs")
@@ -253,9 +260,7 @@ def _mir_values(series, method, allow_short, min_length):
         d = (hxy - mir) / hxy
     else:
         d = 1.0 - mir / np.maximum(h[i], h[j])
-    values = np.zeros((n, n))
-    values[i, j] = values[j, i] = np.clip(d, 0.0, 1.0)
-    return values, int((raw < 0.0).sum())
+    return np.clip(d, 0.0, 1.0), int((raw < 0.0).sum())
 
 
 def mir_distance(
@@ -271,8 +276,7 @@ def mir_distance(
     independent pairs approach 1. The rates come from the paper's estimator
     (``MIR_ESTIMATOR``), whose bias largely cancels in the ratio.
     """
-    values, _ = _mir_values((x, y), "mir", allow_short, min_length)
-    return float(values[0, 1])
+    return float(_mir_values((x, y), "mir", allow_short, min_length)[0][0])
 
 
 def mir_prime_distance(
@@ -286,8 +290,7 @@ def mir_prime_distance(
 
     Uses the paper's estimator (``MIR_ESTIMATOR``), as ``mir_distance`` does.
     """
-    values, _ = _mir_values((x, y), "mir_prime", allow_short, min_length)
-    return float(values[0, 1])
+    return float(_mir_values((x, y), "mir_prime", allow_short, min_length)[0][0])
 
 
 def build_matrix(
@@ -300,30 +303,31 @@ def build_matrix(
 ) -> DistanceMatrix:
     """Fill the n(n-1)/2 pairwise distances for one method.
 
-    Correlation distances come from one Gram product of the centred returns;
-    the upper triangle is mirrored, so the matrix is exactly symmetric with a
-    zero diagonal. Both families check lengths first: a length mismatch raises
+    Correlation distances come from one Gram product of the centred returns.
+    Both families list their pairs in ``np.triu_indices`` order, and one
+    scatter mirrors them, so the matrix is exactly symmetric with a zero
+    diagonal. Both check lengths first: a length mismatch raises
     ``AlignmentError`` naming the pair. Then a constant series raises
     ``UndefinedCorrelationError`` naming the ticker, and a pair of constant
     sequences raises ``DegeneratePairError`` naming it. MIR matrices share
     one routine with ``mir_distance`` and ``mir_prime_distance``, use the
     paper's estimator (``MIR_ESTIMATOR``), whose spread at a few thousand
-    returns is smaller than the slope's, and record how many pairs needed the
-    clamp.
+    returns is smaller than the slope's, and count the pairs clamped.
     """
     series = list(series)
     if len(series) < 3:
         raise AlignmentError(f"need at least 3 instruments, got {len(series)}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    i, j = np.triu_indices(len(series), 1)
     if method == "correlation":
-        d = _corr_to_distance(_correlations(series), corr_variant)
-        values = np.triu(d, 1)
-        values += values.T
+        d = _corr_to_distance(_correlations(series)[i, j], corr_variant)
         params, clamped = {"variant": corr_variant}, 0
     else:
-        values, clamped = _mir_values(series, method, allow_short, min_length)
+        d, clamped = _mir_values(series, method, allow_short, min_length)
         params = {"alphabet_size": series[0].alphabet_size}
+    values = np.zeros((len(series), len(series)))
+    values[i, j] = values[j, i] = d
     return DistanceMatrix(
         tickers=tuple(s.ticker for s in series),
         method=method,

@@ -123,19 +123,22 @@ def load_price_table(
 ) -> list[PriceSeries]:
     """Load a delimited price table into one aligned PriceSeries per ticker.
 
-    The file must have a header row naming the date column plus one column
-    per ticker; a ticker may not be empty or hold ``,``, ``"`` or a line
-    break, since the outputs are comma-delimited whatever the input's
-    delimiter. Rows where any price is missing are dropped from all series,
-    so every returned series shares an identical trading calendar; one
-    ``UserWarning`` gives their count and the first one's ``path:line``. The
-    rows, quoted or not, are parsed straight from the open file in one pass
-    of numpy's C parser (``np.loadtxt``), dates included, and the calendar
-    (``YYYY-MM-DD`` days, strictly increasing) is checked once per table. A table that pass refuses takes the
+    The delimiter is one character other than ``"``, CR or LF
+    (``check_delimiter``). The file must have a header row naming the date
+    column plus one column per ticker; a ticker may not be empty or hold
+    ``,``, ``"`` or a line break, since the outputs are comma-delimited
+    whatever the input's delimiter. Rows where any price is missing are
+    dropped from all series, so every returned series shares an identical
+    trading calendar; one ``UserWarning`` gives their count and the first
+    one's ``path:line``. The rows, quoted or not, are parsed straight from
+    the open file in one pass of numpy's C parser (``np.loadtxt``), dates
+    included, and the calendar (``YYYY-MM-DD`` days, strictly increasing) is
+    checked once per table. A table that pass refuses takes the
     line path: the file is read again line by line, and the lines it keeps
     stream through the same pass, so that rows are dropped and the culprit
     is named by ``path:line`` without a list of the lines being held.
     """
+    check_delimiter(delimiter)
     try:
         with open(path) as fh:
             if not fh.seekable():  # a pipe: the line path must read it again
@@ -183,7 +186,7 @@ def _header(path, line, delimiter, date_column):
     if not price_cols:
         raise FormatError(f"{path}: no ticker columns besides '{date_column}'")
     for i in price_cols:
-        if not header[i] or "," in header[i] or unwritable_ticker(header[i]):
+        if not header[i] or unwritable_ticker(header[i], ","):
             raise FormatError(
                 f"{path}: column {i + 1}: ticker {header[i]!r} is empty or holds a comma, "
                 "a double quote or a line break, which the comma-delimited outputs cannot carry"
@@ -191,10 +194,21 @@ def _header(path, line, delimiter, date_column):
     return header, date_idx, price_cols
 
 
-def unwritable_ticker(ticker: str) -> bool:
-    """Whether no delimited output can carry ``ticker``: it holds a ``"`` or
-    a line break by ``str.splitlines``, which splits ``ticker + "."`` in two."""
-    return '"' in ticker or len(f"{ticker}.".splitlines()) > 1
+def unwritable_ticker(ticker: str, delimiter: str) -> bool:
+    """Whether text delimited by ``delimiter`` cannot carry ``ticker``: it
+    holds the delimiter, a ``"`` or a line break by ``str.splitlines``, which
+    splits ``ticker + "."`` in two."""
+    return delimiter in ticker or '"' in ticker or len(f"{ticker}.".splitlines()) > 1
+
+
+def check_delimiter(delimiter) -> None:
+    """Refuse, with a ValidationError naming it, a price table's delimiter
+    that is not one character other than ``"``, CR or LF: numpy's parser
+    splits on one character and keeps those for quotes and line ends."""
+    if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in '"\r\n':
+        raise ValidationError(
+            f"delimiter: {delimiter!r} is not one character other than '\"', CR or LF"
+        )
 
 
 def _direct_table(lines, width, price_cols, date_idx, delimiter):

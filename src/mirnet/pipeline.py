@@ -17,7 +17,7 @@ from . import centrality as centrality_mod
 from . import distance as distance_mod
 from . import graph as graph_mod
 from .errors import ValidationError
-from .ingest import discretize, load_price_table, log_returns
+from .ingest import check_delimiter, discretize, load_price_table, log_returns
 from .lz import DEFAULT_MIN_LENGTH
 
 # written when a run compares centralities: the combined table, then the report
@@ -30,9 +30,11 @@ class AnalysisConfig:
 
     Construction raises ``ValidationError``, naming the field, for a value of
     the wrong type (an int is not a bool, a bare string is not a list; a
-    tuple is read as a list), an unknown or repeated method or graph kind, an
-    unknown correlation variant, a repeated alphabet size or one below 2, no
-    method at all, or no alphabet size while a MIR method is configured.
+    tuple is read as a list), a delimiter the price loader refuses
+    (``ingest.check_delimiter``), an unknown or repeated method or graph
+    kind, an unknown correlation variant, a repeated alphabet size or one
+    below 2, no method at all, or no alphabet size while a MIR method is
+    configured.
     """
 
     input_path: str
@@ -55,6 +57,7 @@ class AnalysisConfig:
                 raise ValidationError(f"{f.name}: expected {f.type}, got {value!r}")
             if item:
                 setattr(self, f.name, list(value))
+        check_delimiter(self.delimiter)
         for name, values, allowed in (
             ("methods", self.methods, distance_mod.METHODS),
             ("graph_kinds", self.graph_kinds, graph_mod.GRAPH_KINDS),

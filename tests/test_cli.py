@@ -134,6 +134,21 @@ def test_run_with_an_unwritable_ticker_exits_one_naming_the_column(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["run", "entropy"])
+@pytest.mark.parametrize("delimiter", [";;", '"', ""], ids=["two-chars", "quote", "empty"])
+def test_unusable_delimiter_exits_one_naming_it(command, delimiter, price_file, tmp_path,
+                                                capsys):
+    # the table is separated by the delimiter given; numpy's parser takes one
+    # character, and keeps '"' for quotes
+    path = tmp_path / "prices.txt"
+    path.write_text(price_file.read_text().replace(",", delimiter))
+    argv = [command, "--input", str(path), "--delimiter", delimiter]
+    argv += ["--output-dir", str(tmp_path / "out")] if command == "run" else ["SYN00"]
+    assert cli.main(argv) == cli.EXIT_INPUT == 1
+    assert f"error: delimiter: {delimiter!r} is not one character" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_requires_input_and_output(capsys):
     code = cli.main(["run", "--input", "x.csv"])
     assert code == cli.EXIT_INPUT
@@ -490,6 +505,17 @@ def test_export_bad_matrix_exits_one(tmp_path, capsys, cell, message):
     code = cli.main(["export", "--matrix", str(path), "--kind", "pmfg"])
     assert code == cli.EXIT_INPUT
     assert message in capsys.readouterr().err
+
+
+def test_export_refuses_a_ticker_the_writer_refuses(tmp_path, capsys):
+    # DOT, GraphML and the distance CSV could not carry the quote
+    path = tmp_path / "quote.csv"
+    path.write_text(',A"x,B,C\nA"x,0,0.5,0.5\nB,0.5,0,0.5\nC,0.5,0.5,0\n')
+    code = cli.main(["export", "--matrix", str(path), "--format", "dot"])
+    assert code == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: column 2: ticker 'A\"x'" in captured.err
 
 
 def test_export_missing_matrix_exits_one(tmp_path, capsys):

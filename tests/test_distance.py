@@ -1,3 +1,4 @@
+import hashlib
 import re
 import warnings
 
@@ -22,7 +23,14 @@ from mirnet.errors import (
     UndefinedCorrelationError,
     ValidationError,
 )
-from mirnet.ingest import ReturnSeries, SymbolSequence, discretize
+from mirnet.ingest import (
+    ReturnSeries,
+    SymbolSequence,
+    discretize,
+    load_price_table,
+    log_returns,
+)
+from mirnet.synth import SynthSpec, generate_price_table
 from oracles import per_cell_delimited
 
 
@@ -449,6 +457,22 @@ class TestDistanceMatrix:
         with pytest.raises(ValidationError, match=f"^{re.escape(repr(ticker))}: "):
             m.to_delimited(delimiter)
 
+    @pytest.mark.parametrize("text, delimiter, message", [
+        (',A"x,B,C\nA"x,0,1,1\nB,1,0,1\nC,1,1,0\n', ",", "column 2: ticker 'A\"x'"),
+        ('<>A<>B<>"C"\nA<>0<>1<>1\nB<>1<>0<>1\n"C"<>1<>1<>0\n', "<>",
+         "column 4: ticker '\"C\"'"),
+    ], ids=["comma", "two-chars"])
+    def test_reader_refuses_a_ticker_the_writer_refuses(self, text, delimiter, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)} "):
+            DistanceMatrix.from_delimited(text, delimiter)
+
+    def test_empty_delimiter_refused(self):
+        m = DistanceMatrix(("A", "B", "C"), "imported", np.ones((3, 3)) - np.eye(3))
+        with pytest.raises(ValidationError, match="^delimiter: '' is empty"):
+            m.to_delimited("")
+        with pytest.raises(ValidationError, match="^delimiter: '' is empty"):
+            DistanceMatrix.from_delimited(m.to_delimited(), "")
+
     def test_writer_keeps_another_delimiter_in_a_ticker(self):
         m = DistanceMatrix(("A;B", "C", " "), "imported", np.ones((3, 3)) - np.eye(3))
         back = DistanceMatrix.from_delimited(m.to_delimited())
@@ -492,3 +516,32 @@ class TestDistanceMatrix:
     def test_malformed_text_rejected(self, text, message):
         with pytest.raises(FormatError, match=message):
             DistanceMatrix.from_delimited(text)
+
+
+@pytest.mark.parametrize(
+    "n_instruments, method, alpha, digests",
+    [
+        # the Gram product's last bits depend on how OpenBLAS splits it: one
+        # thread writes the first text, two to four threads the second
+        (250, "correlation", None, {
+            "2a730c5f7787f462384b6abbc6d3744c295433ada0a4cc5ae674f1ab3ef64340",
+            "b9d489409c7b89bacbed7faab72f851896a9311e4fd96c8d495fbb1ade100e2a",
+        }),
+        (24, "mir", 4, {"d6e097d8a40cbb5781931ce3968364723045baf2acca13fa458e51284077ab29"}),
+        (24, "mir_prime", 10,
+         {"11cddda014b0251fe3495d69d4a540b97fed6c93a18cedcb9f61e734ef341f0d"}),
+    ],
+    ids=["corr_wide", "mir_panel-a4", "mir_prime-a10"],
+)
+def test_bench_shape_delimited_matrices_pinned(tmp_path, n_instruments, method, alpha, digests):
+    # the distance CSV of the first table of a benchmark shape at seed 1, as
+    # a run writes it; the bench reference checks sampled entries to a
+    # tolerance, so only this pins the bytes
+    path = tmp_path / "prices.csv"
+    spec = SynthSpec(mode="factor", n_instruments=n_instruments, n_rows=2501, seed=1000)
+    path.write_text(generate_price_table(spec))
+    series = [log_returns(s) for s in load_price_table(path)]
+    if alpha is not None:
+        series = [discretize(r, alpha) for r in series]
+    text = build_matrix(series, method).to_delimited()
+    assert hashlib.sha256(text.encode()).hexdigest() in digests

@@ -148,6 +148,17 @@ class TestLoadPriceTable:
         series = load(path, delimiter="\t")
         assert series[0].prices.tolist() == [1.0, 1.1]
 
+    @pytest.mark.parametrize("delimiter", [";;", '"', "", "\r", "\n", None],
+                             ids=["two-chars", "quote", "empty", "cr", "lf", "none"])
+    def test_delimiter_is_one_usable_character(self, tmp_path, delimiter):
+        # numpy's parser splits on one character, and keeps '"' for quotes and
+        # CR and LF for line ends
+        text = "date,A,B\n2020-01-01,1.0,2.0\n2020-01-02,1.1,2.1\n"
+        path = write(tmp_path, text.replace(",", delimiter or ""))
+        with pytest.raises(ValidationError) as exc:
+            load_price_table(path, delimiter=delimiter)
+        assert str(exc.value).startswith(f"delimiter: {delimiter!r} is not one character")
+
     def test_alignment_invariant(self, tmp_path):
         path = write(
             tmp_path,

@@ -151,6 +151,19 @@ class TestConfig:
         with pytest.raises(ValidationError, match=rf"^{field}: expected "):
             AnalysisConfig(**values)
 
+    @pytest.mark.parametrize("delimiter", [";;", '"', "", "\r", "\n"],
+                             ids=["two-chars", "quote", "empty", "cr", "lf"])
+    def test_unusable_delimiter_names_the_field(self, delimiter):
+        # the price loader's rule, checked before a run starts
+        with pytest.raises(ValidationError) as exc:
+            AnalysisConfig(input_path="in.csv", output_dir="out", delimiter=delimiter)
+        assert str(exc.value).startswith(f"delimiter: {delimiter!r} is not one character")
+
+    @pytest.mark.parametrize("delimiter", [";", "\t", " ", "|"])
+    def test_one_character_delimiter_accepted(self, delimiter):
+        cfg = AnalysisConfig(input_path="in.csv", output_dir="out", delimiter=delimiter)
+        assert cfg.delimiter == delimiter
+
     @pytest.mark.parametrize(
         "values, message",
         [

@@ -9,7 +9,7 @@ then prints the mean and standard deviation of the mutual-rate estimate
 hx + hy - hxy under the default "slope" estimator and the paper's ratio
 ("paper"), plus the marginal rate of x (true 2 bits) and the joint rate of
 the independent pairs. The README's estimator table was made with this
-script; the whole run takes about a minute on one core.
+script; the whole run takes about 10 seconds on one core.
 """
 
 import numpy as np

@@ -14,7 +14,7 @@ from .errors import (
     UndefinedCorrelationError,
     ValidationError,
 )
-from .ingest import SymbolSequence, unwritable_ticker
+from .ingest import SymbolSequence, check_delimiter, unwritable_ticker
 
 METHODS = ("correlation", "mir", "mir_prime")
 CORR_VARIANTS = ("one_minus_r2", "sqrt")
@@ -70,17 +70,18 @@ class DistanceMatrix:
         starts with its ticker. A ticker that ``to_delimited`` refuses, a row
         out of place, a ragged row or a cell that is not a number raises
         ``FormatError`` naming it; the values are then checked as on
-        construction. An empty delimiter raises ``ValidationError``.
+        construction. A delimiter that ``ingest.check_delimiter`` refuses
+        raises ``ValidationError``.
         """
-        _check_split_delimiter(delimiter)
+        check_delimiter(delimiter)
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             raise FormatError("empty distance matrix")
         tickers = tuple(lines[0].split(delimiter)[1:])
         for k, t in enumerate(tickers):
             if unwritable_ticker(t, delimiter):
-                raise FormatError(f"column {k + 2}: ticker {t!r} holds a double quote or "
-                                  "a line break, which no delimited output can carry")
+                raise FormatError(f"column {k + 2}: ticker {t!r} is empty or holds a double "
+                                  "quote or a line break, which no delimited output can carry")
         if len(lines) - 1 != len(tickers):
             raise FormatError(
                 f"{len(tickers)} tickers in the header but {len(lines) - 1} rows"
@@ -121,15 +122,15 @@ class DistanceMatrix:
 
         Each pair's ``repr`` is formatted once and placed at both mirror
         cells; a zero whose mirror has the other sign (the only entries that
-        the symmetry check lets differ) then gets its own. An empty delimiter,
-        or a ticker holding the delimiter, a ``"`` or a line break, raises
-        ``ValidationError``.
+        the symmetry check lets differ) then gets its own. A delimiter that
+        ``ingest.check_delimiter`` refuses, or a ticker that is empty or holds
+        the delimiter, a ``"`` or a line break, raises ``ValidationError``.
         """
-        _check_split_delimiter(delimiter)
+        check_delimiter(delimiter)
         for t in self.tickers:
             if unwritable_ticker(t, delimiter):
-                raise ValidationError(f"{t!r}: a ticker holding the delimiter, a "
-                                      "quote or a line break cannot be written")
+                raise ValidationError(f"{t!r}: a ticker that is empty or holds the "
+                                      "delimiter, a quote or a line break cannot be written")
         values = self.values
         i, j = np.triu_indices(self.n)
         cells = np.empty(values.shape, dtype=object)
@@ -152,12 +153,6 @@ class DistanceMatrix:
             "clamped_pairs": self.clamped_pairs,
             "clamp_fraction": self.clamp_fraction,
         }
-
-
-def _check_split_delimiter(delimiter: str) -> None:
-    """The matrix text splits on any nonempty delimiter; refuse an empty one."""
-    if not delimiter:
-        raise ValidationError("delimiter: '' is empty, so no cells can be told apart")
 
 
 def _name(series, k: int) -> str:

@@ -123,9 +123,9 @@ def load_price_table(
 ) -> list[PriceSeries]:
     """Load a delimited price table into one aligned PriceSeries per ticker.
 
-    The delimiter is one character other than ``"``, CR or LF
-    (``check_delimiter``). The file must have a header row naming the date
-    column plus one column per ticker; a ticker may not be empty or hold
+    The delimiter is one character other than ``"``, CR, LF or one a number
+    can hold (``check_delimiter``). The file must have a header row naming
+    the date column plus one column per ticker; a ticker may not be empty or hold
     ``,``, ``"`` or a line break, since the outputs are comma-delimited
     whatever the input's delimiter. Rows where any price is missing are
     dropped from all series, so every returned series shares an identical
@@ -186,7 +186,7 @@ def _header(path, line, delimiter, date_column):
     if not price_cols:
         raise FormatError(f"{path}: no ticker columns besides '{date_column}'")
     for i in price_cols:
-        if not header[i] or unwritable_ticker(header[i], ","):
+        if unwritable_ticker(header[i], ","):
             raise FormatError(
                 f"{path}: column {i + 1}: ticker {header[i]!r} is empty or holds a comma, "
                 "a double quote or a line break, which the comma-delimited outputs cannot carry"
@@ -195,19 +195,22 @@ def _header(path, line, delimiter, date_column):
 
 
 def unwritable_ticker(ticker: str, delimiter: str) -> bool:
-    """Whether text delimited by ``delimiter`` cannot carry ``ticker``: it
-    holds the delimiter, a ``"`` or a line break by ``str.splitlines``, which
-    splits ``ticker + "."`` in two."""
-    return delimiter in ticker or '"' in ticker or len(f"{ticker}.".splitlines()) > 1
+    """Whether text delimited by ``delimiter`` cannot carry ``ticker``: it is
+    empty, or holds the delimiter, a ``"`` or a line break by
+    ``str.splitlines``, which splits ``ticker + "."`` in two."""
+    return not ticker or delimiter in ticker or '"' in ticker or len(f"{ticker}.".splitlines()) > 1
 
 
 def check_delimiter(delimiter) -> None:
-    """Refuse, with a ValidationError naming it, a price table's delimiter
-    that is not one character other than ``"``, CR or LF: numpy's parser
-    splits on one character and keeps those for quotes and line ends."""
-    if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in '"\r\n':
+    """Refuse, with a ValidationError naming it, a delimiter of a price table
+    or a distance matrix that is not one character other than ``"``, CR, LF
+    and the characters of a number (``0-9 . + - e E``): numpy's parser splits
+    on one character and keeps ``"``, CR and LF for quotes and line ends, and
+    a price, an ISO date or a distance's ``repr`` would split on the others."""
+    if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in '"\r\n0123456789.+-eE':
         raise ValidationError(
-            f"delimiter: {delimiter!r} is not one character other than '\"', CR or LF"
+            f"delimiter: {delimiter!r} is not one character other than '\"', CR, LF, "
+            "a digit, '.', '+', '-', 'e' or 'E'"
         )
 
 

@@ -36,9 +36,8 @@ itself. ``mutual_lz`` takes HR(x), HR(y) and HR(x,y) from one call, and
 pairing below either component, because the joint match lengths are
 pointwise at most the component ones; the slope has no such guarantee.
 
-``match_lengths`` computes Lambda_t for one sequence or for a 2-D batch of
-equal-length rows in one set of numpy calls; ``pair_rates`` hands it its rows
-in chunks. Per row it takes three steps:
+``pair_rates`` hands the kernel its rows in chunks, as 2-D batches of
+equal-length rows. ``_suffix_lcp`` takes two numpy steps per batch:
 
 1. Labels and suffix array, by prefix doubling (Manber & Myers, SIAM J.
    Comput. 1993). The first levels pack the 2**k symbols after each position
@@ -46,19 +45,21 @@ in chunks. Per row it takes three steps:
    fits in 63 bits. The last packed level is sorted once into dense ranks,
    and each further level sorts the key (rank, rank 2**k further on)
    row-wise, in int32 while n * (n + 2) < 2**31. Every level is kept.
-2. The longest previous factor (Crochemore & Ilie, IPL 2008): the longest
-   match of the suffix at t with an earlier suffix is found at one of the two
-   suffixes nearest to it in suffix-array order among those starting before
-   t. For about half the suffixes that is the next suffix in that order; the
-   rest are found by binary lifting over a sparse table of suffix-array
-   minima.
-3. The longest common prefix with each of those two, by binary lifting over
-   the kept levels: equal labels or ranks at level k mean equal substrings
-   of length 2**k.
+2. The longest common prefix (LCP) of each suffix with the one before it in
+   the suffix array, by binary lifting over the kept levels: equal labels or
+   ranks at level k mean equal substrings of length 2**k.
 
-Steps 1 and 3 take about log2 of the longest repeat in the batch passes over
-it, step 2 about log2(n), so the per-call cost of numpy is paid once per batch
-rather than once per sequence.
+Each takes about log2 of the longest repeat in the batch passes over it. The
+ratio needs only sum(Lambda_t) = n + sum(LCP): both equal n(n+1)/2 less the
+number of distinct substrings, as of the prefixes of the suffix at t, those
+no longer than Lambda_t - 1 occur earlier in the sequence and those no longer
+than its LCP occur earlier in suffix-array order. ``match_lengths`` goes on
+to each Lambda_t by the longest previous factor (Crochemore & Ilie, IPL
+2008): the suffix at t matches an earlier one longest at the nearest
+earlier-starting suffix on one side of it in the suffix array, for the least
+LCP between them. One stack walk over the batch in suffix-array order finds
+both sides of every suffix; it is pure Python, and takes half to two
+thirds of a slope estimate's time.
 """
 
 from __future__ import annotations
@@ -78,9 +79,10 @@ DEFAULT_ESTIMATOR = "slope"
 # finite-sample overshoot above log2(alphabet) tolerated before flagging
 OVERSHOOT_FRACTION = 0.10
 
-# symbols per match-length call of ``pair_rates``: enough rows to spread
-# numpy's per-call overhead. At 2.5k-symbol rows the kernel peaks at about
-# 135 bytes a symbol, 2**13 ran about 10% slower and 2**15 no faster
+# symbols per kernel call of ``pair_rates``: enough rows to spread numpy's
+# per-call overhead. At 2.5k-symbol rows the ratio path peaks at about 112
+# bytes a symbol (tracemalloc); a 40-series matrix took 0.29 s at this value,
+# 0.21 s at 2**13 and 0.35 s at 2**15 (one core, the same kernel)
 JOINT_SYMBOL_BUDGET = 1 << 14
 
 # rank levels and sort keys of rows of n symbols are int32 when every key,
@@ -103,11 +105,11 @@ class LzEstimate:
         return self.value > cap * (1.0 + OVERSHOOT_FRACTION) + 1e-12
 
 
-def _padded(rows: np.ndarray, front: int) -> np.ndarray:
-    """Rows laid end to end with one -1 after each and ``front`` -1s before."""
+def _padded(rows: np.ndarray) -> np.ndarray:
+    """Rows laid end to end with one -1 before the first and after each."""
     b, n = rows.shape
-    flat = np.full(front + b * (n + 1), -1, dtype=rows.dtype)
-    flat[front:].reshape(b, n + 1)[:, :n] = rows
+    flat = np.full(1 + b * (n + 1), -1, dtype=rows.dtype)
+    flat[1:].reshape(b, n + 1)[:, :n] = rows
     return flat
 
 
@@ -158,54 +160,10 @@ def _rank_levels(rows: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         key[:, :-h] += rank[:, h:] + 1
 
 
-def _nearest_smaller(rank: np.ndarray, sa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest earlier-starting suffixes on either side in suffix-array order.
-
-    ``rank`` holds each suffix's suffix-array index r, all distinct in a row,
-    and ``sa`` its inverse, the suffix array, in the same dtype. For the
-    suffix at position p, returns the position of the suffix at the closest
-    index below r, and at the closest above r, that starts before p, or -1
-    where there is none; both flattened row by row. The neighbour at
-    r - 1 (r + 1) is the answer for about half the suffixes; the rest are
-    found by binary lifting over a sparse table of suffix-array minima: a
-    block of indices is skipped while every suffix in it starts after p. The
-    table holds positions in ``rank``'s dtype, so int32 ranks halve its
-    gathers.
-    """
-    b, n = rank.shape
-    levels = n.bit_length()
-    front = 1 << (levels - 1)
-    # table[k, i] = min of the SA over flat indices i .. i + 2**k - 1; the -1
-    # pads around each row stop any block that leaves it, and ``front`` of
-    # them keep the blocks that end in row 0 inside the array
-    flat = _padded(sa, front)
-    table = np.full((levels, flat.size), -1, dtype=rank.dtype)
-    table[0] = flat
-    for k in range(1, levels):
-        h = 1 << (k - 1)
-        np.minimum(table[k - 1, :-h], table[k - 1, h:], out=table[k, :-h])
-    # indices from here on count from the pad before row 0
-    r = (rank + 1 + (n + 1) * np.arange(b)[:, None]).ravel()
-    p = np.broadcast_to(np.arange(n, dtype=rank.dtype), (b, n)).ravel()
-    positions = table[0, front - 1 :]
-    nearest = []
-    for side in (-1, 1):
-        found = positions[r + side]
-        far = np.flatnonzero(found > p)
-        q, x = p[far], r[far] + 2 * side
-        for k in reversed(range(levels)):
-            step = 1 << k
-            block = table[k, front - step :] if side < 0 else table[k, front - 1 :]
-            x += (block[x] > q) * (side * step)
-        found[far] = positions[x]
-        nearest.append(found)
-    return nearest[0], nearest[1]
-
-
 def _common_prefix(levels: list[np.ndarray], i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Longest common prefix of suffixes i and j, by binary lifting over ranks.
 
-    ``levels`` are rank levels 0 .. k-1 in ``_padded(.., 1)`` layout, for a
+    ``levels`` are rank levels 0 .. k-1 in ``_padded`` layout, for a
     common prefix shorter than 2**k, and i, j flat indices into them; position
     -1 of a row is a pad that matches nothing.
     """
@@ -213,6 +171,19 @@ def _common_prefix(levels: list[np.ndarray], i: np.ndarray, j: np.ndarray) -> np
     for k in reversed(range(len(levels))):
         lcp += (levels[k][i + lcp] == levels[k][j + lcp]) * (1 << k)
     return lcp
+
+
+def _suffix_lcp(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's suffix array, and the longest common prefix of each suffix
+    with the one before it in that order (0 for the first), both row-wise."""
+    b, n = rows.shape
+    levels, sa = _rank_levels(rows)
+    start = 1 + (n + 1) * np.arange(b)[:, None]
+    here = start + sa
+    # the pad before each row matches nothing, so the first suffix gets 0
+    before = np.hstack([start - 1, here[:, :-1]])
+    padded = [_padded(rank) for rank in levels[:-1]]
+    return sa, _common_prefix(padded, here.ravel(), before.ravel()).reshape(b, n)
 
 
 def match_lengths(seq) -> np.ndarray:
@@ -224,8 +195,8 @@ def match_lengths(seq) -> np.ndarray:
     but never past the end of the sequence.
 
     ``seq`` is one sequence or a 2-D array of equal-length sequences, one per
-    row; the result has the same shape. Rows are independent, and a batch of
-    rows costs far fewer numpy calls than the same rows one at a time.
+    row; the result has the same shape. Rows are independent: a batch shares
+    the numpy steps of ``_suffix_lcp`` and one stack walk.
     """
     seq = np.asarray(seq, dtype=np.int64)
     if seq.ndim not in (1, 2):
@@ -236,19 +207,28 @@ def match_lengths(seq) -> np.ndarray:
             f"match lengths need at least 2 symbols, got {n}"
         )
     rows = seq.reshape(-1, n)
-    levels, sa = _rank_levels(rows)
-    before, after = _nearest_smaller(levels[-1], sa)
-    # a longest previous factor is shared with one of the two nearest
-    # earlier-starting suffixes in SA order (Crochemore & Ilie 2008)
-    start = 1 + (n + 1) * np.arange(rows.shape[0])[:, None]
-    here = (start + np.arange(n)).ravel()
-    base = np.broadcast_to(start, rows.shape).ravel()
-    padded = [_padded(rank, 1) for rank in levels[:-1]]
-    lpf = np.maximum(
-        _common_prefix(padded, here, base + before),
-        _common_prefix(padded, here, base + after),
-    )
-    return 1 + lpf.reshape(seq.shape)
+    sa, lcp = _suffix_lcp(rows)
+    # the walk of the module docstring, over positions offset by their row's
+    # start. The stack holds positions rising from the bottom, each with its
+    # LCP with the one below, its nearest earlier-starting suffix on the
+    # left. The suffix that pops it is its nearest on the right, and ``low``
+    # is their LCP. The -1 at the bottom never pops, and the entry above it
+    # holds 0; the -1 after the last suffix pops the rest
+    lpf = [0] * seq.size
+    stack, links = [-1], [0]
+    positions = (sa + n * np.arange(rows.shape[0])[:, None]).ravel().tolist()
+    for p, low in zip([*positions, -1], [*lcp.ravel().tolist(), 0]):
+        while stack[-1] > p:
+            q = stack.pop()
+            link = links.pop()
+            if link < low:
+                lpf[q] = low
+                low = link
+            else:
+                lpf[q] = link
+        stack.append(p)
+        links.append(low)
+    return 1 + np.array(lpf, dtype=np.int64).reshape(seq.shape)
 
 
 def _check_length(n: int, min_length: int, allow_short: bool) -> None:
@@ -267,10 +247,9 @@ def _check_length(n: int, min_length: int, allow_short: bool) -> None:
         )
 
 
-def _ratio_rate(lam: np.ndarray):
-    """The paper's estimator n*log2(n) / sum(Lambda_t), along the last axis."""
-    n = lam.shape[-1]
-    return n * np.log2(n) / lam.sum(axis=-1)
+def _ratio_rate(n: int, total):
+    """The paper's estimator n*log2(n) / sum(Lambda_t), given that sum."""
+    return n * np.log2(n) / total
 
 
 def _slope_rate(lam: np.ndarray) -> float:
@@ -289,7 +268,7 @@ def _slope_rate(lam: np.ndarray) -> float:
         slope = float((xc * (y - y.mean())).sum()) / float((xc * xc).sum())
         if slope > 0.0:
             return 1.0 / slope
-    return float(_ratio_rate(lam))
+    return float(_ratio_rate(n, lam.sum()))
 
 
 def pair_rates(stack: np.ndarray, a, b, alpha: int, estimator: str) -> np.ndarray:
@@ -305,11 +284,12 @@ def pair_rates(stack: np.ndarray, a, b, alpha: int, estimator: str) -> np.ndarra
     rows_per_call = max(1, JOINT_SYMBOL_BUDGET // m)
     for start in range(0, len(a), rows_per_call):
         chunk = slice(start, start + rows_per_call)
-        lam = match_lengths(stack[a[chunk]] + alpha * stack[b[chunk]])
+        rows = stack[a[chunk]] + alpha * stack[b[chunk]]
         if estimator == "paper":
-            rates[chunk] = _ratio_rate(lam)
+            # sum(Lambda_t) = m + sum(LCP); see the module docstring
+            rates[chunk] = _ratio_rate(m, m + _suffix_lcp(rows)[1].sum(axis=1))
         else:
-            rates[chunk] = [_slope_rate(row) for row in lam]
+            rates[chunk] = [_slope_rate(lam) for lam in match_lengths(rows)]
     return rates
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import centrality as centrality_mod
 from . import distance as distance_mod
 from . import graph as graph_mod
-from .errors import ValidationError
+from .errors import ValidationError, check_field_types
 from .ingest import check_delimiter, discretize, load_price_table, log_returns
 from .lz import DEFAULT_MIN_LENGTH
 
@@ -29,12 +29,12 @@ class AnalysisConfig:
     """Everything one pipeline run depends on; round-trips through JSON.
 
     Construction raises ``ValidationError``, naming the field, for a value of
-    the wrong type (an int is not a bool, a bare string is not a list; a
-    tuple is read as a list), a delimiter the price loader refuses
-    (``ingest.check_delimiter``), an unknown or repeated method or graph
-    kind, an unknown correlation variant, a repeated alphabet size or one
-    below 2, no method at all, or no alphabet size while a MIR method is
-    configured.
+    the wrong type (``errors.check_field_types``: an int is not a bool, a
+    bare string is not a list; a tuple is read as a list), a delimiter the
+    price loader refuses (``ingest.check_delimiter``), an unknown or
+    repeated method or graph kind, an unknown correlation variant, a
+    repeated alphabet size or one below 2, no method at all, or no alphabet
+    size while a MIR method is configured.
     """
 
     input_path: str
@@ -50,13 +50,10 @@ class AnalysisConfig:
     allow_short: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         for f in fields(self):
-            value = getattr(self, f.name)
-            outer, _, item = f.type.rstrip("]").partition("[")
-            if not _is_a(value, outer) or (item and not all(_is_a(v, item) for v in value)):
-                raise ValidationError(f"{f.name}: expected {f.type}, got {value!r}")
-            if item:
-                setattr(self, f.name, list(value))
+            if f.type.startswith("list"):
+                setattr(self, f.name, list(getattr(self, f.name)))
         check_delimiter(self.delimiter)
         for name, values, allowed in (
             ("methods", self.methods, distance_mod.METHODS),
@@ -107,17 +104,6 @@ class AnalysisConfig:
             for method in self.methods
             for alpha in ([None] if method == "correlation" else self.alphabet_sizes)
         ]
-
-
-# the annotations of AnalysisConfig's fields; a list field may be a tuple
-_TYPES = {"str": str, "int": int, "bool": bool, "list": (list, tuple)}
-
-
-def _is_a(value, type_name: str) -> bool:
-    """Whether ``value`` has the annotated type; a bool is no int."""
-    return isinstance(value, _TYPES[type_name]) and (
-        type_name == "bool" or not isinstance(value, bool)
-    )
 
 
 def _combo_name(combo: dict) -> str:

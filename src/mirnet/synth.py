@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_field_types
 
 MODES = ("iid", "factor", "nonlinear")
 
@@ -27,6 +27,10 @@ VOLATILITY = 0.01  # daily return scale of the price paths
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """Parameters of one synthetic table. Construction raises
+    ``ValidationError`` naming the field for a value of the wrong type
+    (``errors.check_field_types``: a bool is no int) or out of range."""
+
     mode: str
     n_instruments: int = 15
     n_rows: int = 1000
@@ -35,6 +39,7 @@ class SynthSpec:
     noise_scale: float = 0.1  # nonlinear mode: noise added on top of x**2
 
     def __post_init__(self):
+        check_field_types(self)
         if self.mode not in MODES:
             raise ValidationError(f"unknown synth mode {self.mode!r}; pick from {MODES}")
         if self.n_instruments < 2:

@@ -135,11 +135,12 @@ def test_run_with_an_unwritable_ticker_exits_one_naming_the_column(
 
 
 @pytest.mark.parametrize("command", ["run", "entropy"])
-@pytest.mark.parametrize("delimiter", [";;", '"', ""], ids=["two-chars", "quote", "empty"])
+@pytest.mark.parametrize("delimiter", [";;", '"', "", "-"],
+                         ids=["two-chars", "quote", "empty", "minus"])
 def test_unusable_delimiter_exits_one_naming_it(command, delimiter, price_file, tmp_path,
                                                 capsys):
     # the table is separated by the delimiter given; numpy's parser takes one
-    # character, and keeps '"' for quotes
+    # character, and keeps '"' for quotes; '-' would split every date
     path = tmp_path / "prices.txt"
     path.write_text(price_file.read_text().replace(",", delimiter))
     argv = [command, "--input", str(path), "--delimiter", delimiter]
@@ -516,6 +517,27 @@ def test_export_refuses_a_ticker_the_writer_refuses(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: column 2: ticker 'A\"x'" in captured.err
+
+
+def test_export_refuses_an_empty_ticker(tmp_path, capsys):
+    # it named a DOT node "" and exited 0
+    path = tmp_path / "empty.csv"
+    path.write_text(",A,,C\nA,0,0.5,0.5\n,0.5,0,0.5\nC,0.5,0.5,0\n")
+    code = cli.main(["export", "--matrix", str(path), "--format", "dot"])
+    assert code == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: column 3: ticker ''" in captured.err
+
+
+@pytest.mark.parametrize("delimiter", [".", "5", "e", "-", ";;"])
+def test_export_refuses_a_delimiter_a_number_can_hold(matrix_file, capsys, delimiter):
+    # the matrix's own values would split on it
+    argv = ["export", "--matrix", str(matrix_file), "--delimiter", delimiter]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: delimiter: {delimiter!r} is not one character" in captured.err
 
 
 def test_export_missing_matrix_exits_one(tmp_path, capsys):

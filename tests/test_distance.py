@@ -321,13 +321,13 @@ class TestBuildMatrix:
         # the marginal rates ride in the batched calls of the joint rows: no
         # single-row call, and ceil((n + pairs) / rows-per-call) calls in all
         shapes = []
-        kernel = lz.match_lengths
+        kernel = lz._suffix_lcp
 
         def counting(rows):
             shapes.append(np.shape(rows))
             return kernel(rows)
 
-        monkeypatch.setattr(lz, "match_lengths", counting)
+        monkeypatch.setattr(lz, "_suffix_lcp", counting)
         rng = np.random.default_rng(23)
         for n, m in ((7, 600), (12, 2501)):
             shapes.clear()
@@ -432,7 +432,7 @@ class TestDistanceMatrix:
         m = DistanceMatrix(tuple(f"SYN{k:03d}" for k in range(250)), "imported", values)
         assert m.to_delimited() == per_cell_delimited(m)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=max(100, settings.default.max_examples), deadline=None)
     @given(printed_matrices(), st.sampled_from([",", ";", "\t"]))
     def test_delimited_round_trip(self, m, delimiter):
         back = DistanceMatrix.from_delimited(m.to_delimited(delimiter), delimiter)
@@ -449,9 +449,9 @@ class TestDistanceMatrix:
 
     @pytest.mark.parametrize("ticker, delimiter", [
         ("A,B", ","), ("A;B", ";"), ("A\tB", "\t"), ('A"B', ","), ("A\nB", ","),
-        ("A\r", ","), ("\u2028B", ";"), ("SYN\x0c01", ","), ("A\x85", "\t"),
+        ("A\r", ","), ("\u2028B", ";"), ("SYN\x0c01", ","), ("A\x85", "\t"), ("", ","),
     ], ids=["comma", "semicolon", "tab", "quote", "newline", "return", "line-separator",
-            "form-feed", "next-line"])
+            "form-feed", "next-line", "empty"])
     def test_writer_refuses_a_ticker_it_cannot_write(self, ticker, delimiter):
         m = DistanceMatrix((ticker, "C", "D"), "imported", np.ones((3, 3)) - np.eye(3))
         with pytest.raises(ValidationError, match=f"^{re.escape(repr(ticker))}: "):
@@ -459,19 +459,31 @@ class TestDistanceMatrix:
 
     @pytest.mark.parametrize("text, delimiter, message", [
         (',A"x,B,C\nA"x,0,1,1\nB,1,0,1\nC,1,1,0\n', ",", "column 2: ticker 'A\"x'"),
-        ('<>A<>B<>"C"\nA<>0<>1<>1\nB<>1<>0<>1\n"C"<>1<>1<>0\n', "<>",
-         "column 4: ticker '\"C\"'"),
-    ], ids=["comma", "two-chars"])
+        (';A;B;"C"\nA;0;1;1\nB;1;0;1\n"C";1;1;0\n', ";", "column 4: ticker '\"C\"'"),
+        (",A,,C\nA,0,1,1\n,1,0,1\nC,1,1,0\n", ",", "column 3: ticker ''"),
+    ], ids=["comma", "semicolon", "empty"])
     def test_reader_refuses_a_ticker_the_writer_refuses(self, text, delimiter, message):
         with pytest.raises(FormatError, match=f"^{re.escape(message)} "):
             DistanceMatrix.from_delimited(text, delimiter)
 
     def test_empty_delimiter_refused(self):
         m = DistanceMatrix(("A", "B", "C"), "imported", np.ones((3, 3)) - np.eye(3))
-        with pytest.raises(ValidationError, match="^delimiter: '' is empty"):
+        with pytest.raises(ValidationError, match="^delimiter: '' is not one character"):
             m.to_delimited("")
-        with pytest.raises(ValidationError, match="^delimiter: '' is empty"):
+        with pytest.raises(ValidationError, match="^delimiter: '' is not one character"):
             DistanceMatrix.from_delimited(m.to_delimited(), "")
+
+    @pytest.mark.parametrize("delimiter", [";;", ".", "5", "e", "E", "-", "+"])
+    def test_delimiter_a_value_or_ticker_can_hold_refused(self, delimiter):
+        # each wrote text that the reader refused: ';;' split the cell after
+        # the ticker 'A;', and the others split a value's repr
+        m = DistanceMatrix(("A;", "B", "C"), "imported",
+                           [[0, 0.5, 0.25], [0.5, 0, 1e-05], [0.25, 1e-05, 0]])
+        message = f"^delimiter: {re.escape(repr(delimiter))} is not one character"
+        with pytest.raises(ValidationError, match=message):
+            m.to_delimited(delimiter)
+        with pytest.raises(ValidationError, match=message):
+            DistanceMatrix.from_delimited(m.to_delimited(), delimiter)
 
     def test_writer_keeps_another_delimiter_in_a_ticker(self):
         m = DistanceMatrix(("A;B", "C", " "), "imported", np.ones((3, 3)) - np.eye(3))

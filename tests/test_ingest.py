@@ -148,11 +148,16 @@ class TestLoadPriceTable:
         series = load(path, delimiter="\t")
         assert series[0].prices.tolist() == [1.0, 1.1]
 
-    @pytest.mark.parametrize("delimiter", [";;", '"', "", "\r", "\n", None],
-                             ids=["two-chars", "quote", "empty", "cr", "lf", "none"])
+    @pytest.mark.parametrize(
+        "delimiter",
+        [";;", '"', "", "\r", "\n", None, "-", ".", "0", "7", "+", "e", "E"],
+        ids=["two-chars", "quote", "empty", "cr", "lf", "none", "minus", "dot", "zero",
+             "seven", "plus", "e", "E"],
+    )
     def test_delimiter_is_one_usable_character(self, tmp_path, delimiter):
         # numpy's parser splits on one character, and keeps '"' for quotes and
-        # CR and LF for line ends
+        # CR and LF for line ends; a character that a number or an ISO date can
+        # hold would split a cell
         text = "date,A,B\n2020-01-01,1.0,2.0\n2020-01-02,1.1,2.1\n"
         path = write(tmp_path, text.replace(",", delimiter or ""))
         with pytest.raises(ValidationError) as exc:
@@ -341,10 +346,10 @@ class TestLoadPriceTable:
         "text, delimiter",
         [
             ('date,A,B\n"2020-01-01","1.5","2"\n"2020-01-02","1.25","3"\n', ","),
-            ('date-A-B\n"2020-01-02"-1.5-2\n"2020-01-03"-1.25-3\n', "-"),
+            ('date A B\n"2020-01-02" " 1.5" 2\n"2020-01-03" "1.25 " 3\n', " "),
             ('date,A,B\n\n"2020-01-01",1.5,2\n\n\n"2020-01-02",1.25,3\n\n', ","),
         ],
-        ids=["fully-quoted", "delimiter-in-quoted-date", "blank-lines-mid-body"],
+        ids=["fully-quoted", "delimiter-in-quoted-price", "blank-lines-mid-body"],
     )
     def test_quoted_table_takes_the_one_pass(self, tmp_path, monkeypatch, text, delimiter):
         def scan(*args):

@@ -93,8 +93,13 @@ def symbol_batches(draw):
     return draw(st.lists(symbol_rows(n), min_size=1, max_size=6))
 
 
+def examples(count: int) -> int:
+    """``count``, or the loaded profile's ``max_examples`` where that is more."""
+    return max(count, settings.default.max_examples)
+
+
 class TestBatchedMatchLengths:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(symbol_batches())
     def test_every_row_matches_the_oracle(self, rows):
         lam = match_lengths(np.array(rows, dtype=np.int64))
@@ -102,14 +107,14 @@ class TestBatchedMatchLengths:
         for row, got in zip(rows, lam):
             assert got.tolist() == brute_match_lengths(row)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(symbol_batches(), st.data())
     def test_one_row_equals_its_row_in_a_batch(self, rows, data):
         k = data.draw(st.integers(0, len(rows) - 1))
         batch = match_lengths(np.array(rows, dtype=np.int64))
         assert match_lengths(rows[k]).tolist() == batch[k].tolist()
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(symbol_batches())
     def test_int64_keys_match_the_oracle(self, rows):
         # the int64 ranks and keys that rows past about 46k symbols take
@@ -121,6 +126,19 @@ class TestBatchedMatchLengths:
             lam = match_lengths(batch)
         for row, got in zip(rows, lam):
             assert got.tolist() == brute_match_lengths(row)
+
+    @settings(max_examples=examples(150), deadline=None)
+    @given(symbol_batches())
+    def test_ratio_sums_match_the_oracle(self, rows):
+        # the ratio's sum(Lambda_t) is n + the suffix-array neighbours' LCPs,
+        # with int32 keys and with the int64 ones
+        batch = np.array(rows, dtype=np.int64)
+        expected = [sum(brute_match_lengths(row)) for row in rows]
+        for below in (lz._INT32_KEYS_BELOW, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(lz, "_INT32_KEYS_BELOW", below)
+                sums = batch.shape[1] + lz._suffix_lcp(batch)[1].sum(axis=1)
+            assert sums.tolist() == expected
 
     def test_long_repeats_cross_from_packed_to_sorted_levels(self):
         # 1-bit labels pack up to 32 symbols, so repeats of 300 need sorted
@@ -364,6 +382,18 @@ class TestJointAndMutual:
 
 
 class TestOneRatePass:
+    def test_the_ratio_forms_no_match_lengths(self, monkeypatch):
+        # the paper's ratio, which every MIR distance uses, sums the LCPs
+        def refuse(rows):
+            raise AssertionError("the ratio called lz.match_lengths")
+
+        monkeypatch.setattr(lz, "match_lengths", refuse)
+        rng = np.random.default_rng(43)
+        syms = [SymbolSequence(f"T{i}", 4, rng.integers(0, 4, 600)) for i in range(4)]
+        build_matrix(syms, "mir")
+        mir_distance(syms[0], syms[1])
+        mutual_lz(syms[0], syms[1], estimator="paper")
+
     def test_mutual_rates_share_kernel_calls_within_the_budget(self, monkeypatch):
         # three rows fit in one call at m = 2500; at m = 1e5 each row is one
         shapes = []

@@ -151,8 +151,8 @@ class TestConfig:
         with pytest.raises(ValidationError, match=rf"^{field}: expected "):
             AnalysisConfig(**values)
 
-    @pytest.mark.parametrize("delimiter", [";;", '"', "", "\r", "\n"],
-                             ids=["two-chars", "quote", "empty", "cr", "lf"])
+    @pytest.mark.parametrize("delimiter", [";;", '"', "", "\r", "\n", "-", "."],
+                             ids=["two-chars", "quote", "empty", "cr", "lf", "minus", "dot"])
     def test_unusable_delimiter_names_the_field(self, delimiter):
         # the price loader's rule, checked before a run starts
         with pytest.raises(ValidationError) as exc:

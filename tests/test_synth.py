@@ -101,3 +101,20 @@ def test_spec_refusals_name_the_field(fields, culprit):
     with pytest.raises(ValidationError) as exc:
         SynthSpec(**fields)
     assert culprit in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", True), ("n_rows", 10.5), ("n_instruments", 3.0), ("seed", 1.5),
+     ("mode", 1), ("factor_loading", "0.5"), ("noise_scale", False)],
+)
+def test_mistyped_field_refused_naming_it(field, value):
+    # seed=True wrote seed 1's table, and the floats raised numpy TypeErrors
+    # from inside generate_returns; a bool is no number here
+    with pytest.raises(ValidationError, match=f"^{field}: expected "):
+        SynthSpec(**{"mode": "factor", field: value})
+
+
+def test_float_field_takes_an_int():
+    spec = SynthSpec(mode="nonlinear", n_instruments=2, n_rows=10, noise_scale=0)
+    assert np.isfinite(synth.generate_returns(spec)[1]).all()

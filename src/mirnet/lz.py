@@ -37,29 +37,35 @@ pairing below either component, because the joint match lengths are
 pointwise at most the component ones; the slope has no such guarantee.
 
 ``pair_rates`` hands the kernel its rows in chunks, as 2-D batches of
-equal-length rows. ``_suffix_lcp`` takes two numpy steps per batch:
+equal-length rows, and every step is a numpy pass over a batch:
 
-1. Labels and suffix array, by prefix doubling (Manber & Myers, SIAM J.
-   Comput. 1993). The first levels pack the 2**k symbols after each position
-   into one int64 label by shifts and ORs, with no sort, while the label
-   fits in 63 bits. The last packed level is sorted once into dense ranks,
-   and each further level sorts the key (rank, rank 2**k further on)
-   row-wise, in int32 while n * (n + 2) < 2**31. Every level is kept.
-2. The longest common prefix (LCP) of each suffix with the one before it in
-   the suffix array, by binary lifting over the kept levels: equal labels or
-   ranks at level k mean equal substrings of length 2**k.
+1. Packed labels: each position's label holds the p symbols from it on,
+   symbol + 1 per field of fixed width, the first highest and 0 past the
+   end of the row, as many as fit in 63 bits (p = 12 for the pairs of a
+   4-symbol alphabet, 9 for a 10-symbol one). Labels order as those
+   substrings do, and two labels share p - ceil(bitlen(a ^ b) / width)
+   leading symbols, one ``searchsorted`` of their XOR.
+2. Sort by value and the XOR of neighbours: where sorted neighbours differ,
+   that count is the longest common prefix (LCP) of their suffixes, which
+   are neighbours in the suffix array too.
+3. Refinement of tied rows only: where two neighbours share all p symbols,
+   prefix doubling (Manber & Myers, SIAM J. Comput. 1993) ranks the
+   substrings of p, 2p, 4p, ... symbols, in int32 while n * (n + 2) < 2**31,
+   until the ranks are all distinct. The tied pairs alone are lifted over
+   those ranks and finished with one XOR of labels.
 
-Each takes about log2 of the longest repeat in the batch passes over it. The
-ratio needs only sum(Lambda_t) = n + sum(LCP): both equal n(n+1)/2 less the
-number of distinct substrings, as of the prefixes of the suffix at t, those
-no longer than Lambda_t - 1 occur earlier in the sequence and those no longer
-than its LCP occur earlier in suffix-array order. ``match_lengths`` goes on
-to each Lambda_t by the longest previous factor (Crochemore & Ilie, IPL
-2008): the suffix at t matches an earlier one longest at the nearest
-earlier-starting suffix on one side of it in the suffix array, for the least
-LCP between them. One stack walk over the batch in suffix-array order finds
-both sides of every suffix; it is pure Python, and takes half to two
-thirds of a slope estimate's time.
+The ratio needs only sum(Lambda_t) = n + sum(LCP): both equal n(n+1)/2 less
+the number of distinct substrings, as of the prefixes of the suffix at t,
+those no longer than Lambda_t - 1 occur earlier in the sequence and those no
+longer than its LCP occur earlier in suffix-array order. It takes steps 1
+and 2 with a value sort and sends the few rows with a tie to
+``_suffix_lcp``, which takes all three with an ``argsort`` and returns the
+suffix array too. ``match_lengths`` goes on from there to each Lambda_t by
+the longest previous factor (Crochemore & Ilie, IPL 2008): the suffix at t
+matches an earlier one longest at the nearest earlier-starting suffix on
+one side of it in the suffix array, for the least LCP between them. One
+stack walk over the batch in suffix-array order finds both sides of every
+suffix; it is pure Python, and takes most of a slope estimate's time.
 """
 
 from __future__ import annotations
@@ -80,14 +86,20 @@ DEFAULT_ESTIMATOR = "slope"
 OVERSHOOT_FRACTION = 0.10
 
 # symbols per kernel call of ``pair_rates``: enough rows to spread numpy's
-# per-call overhead. At 2.5k-symbol rows the ratio path peaks at about 112
-# bytes a symbol (tracemalloc); a 40-series matrix took 0.29 s at this value,
-# 0.21 s at 2**13 and 0.35 s at 2**15 (one core, the same kernel)
+# per-call overhead. At 2.5k-symbol rows the ratio path peaks at about 48
+# bytes a symbol, 180 in a chunk of tied rows (tracemalloc). In 4 alternating
+# rounds on one core, a 24-series alpha = 4 matrix took 21-31 ms at this
+# value, 23-32 ms at 2**13 and 28-38 ms at 2**15, and a 91-series alpha = 10
+# one 213-330 ms, 252-368 ms and 211-312 ms: no other value wins at both
 JOINT_SYMBOL_BUDGET = 1 << 14
 
 # rank levels and sort keys of rows of n symbols are int32 when every key,
 # below n * (n + 2), stays under this bound, and int64 otherwise
 _INT32_KEYS_BELOW = 1 << 31
+
+# a label packs as many whole symbol fields as fit in this many bits, and at
+# least one, so the sign bit of an int64 stays clear
+_LABEL_BITS = 63
 
 
 @dataclass(frozen=True)
@@ -105,85 +117,110 @@ class LzEstimate:
         return self.value > cap * (1.0 + OVERSHOOT_FRACTION) + 1e-12
 
 
-def _padded(rows: np.ndarray) -> np.ndarray:
-    """Rows laid end to end with one -1 before the first and after each."""
-    b, n = rows.shape
-    flat = np.full(1 + b * (n + 1), -1, dtype=rows.dtype)
-    flat[1:].reshape(b, n + 1)[:, :n] = rows
-    return flat
+def _packed(rows: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Each position's label, row-wise, with the field width and the number p
+    of symbols a label holds.
 
-
-def _rank_levels(rows: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Labels of every suffix's prefixes, one array per level, row-wise, and
-    each row's suffix array.
-
-    Level k labels the substrings of length 2**k starting at each position
-    (cut at the end of the row): two positions share a label exactly when
-    those substrings are equal, and labels order as the substrings do, a cut
-    substring first. Packed levels hold each symbol + 1 in a field of fixed
-    width, 0 past the end; symbols outside [0, n) are first replaced by
-    their rank among the batch's symbols, so any int64 symbols are fine.
-    The last packed level is sorted into dense ranks, and doubling goes on
-    until a level's ranks are all distinct; every longest common prefix is
-    then shorter than 2**k, and the sort of that last level is the suffix
-    array (the positions in rank order), in the ranks' dtype.
+    A label packs the p symbols from its position on, each symbol + 1 in a
+    field of ``width`` bits, the first in the highest field and 0 past the end
+    of the row, so labels order as those substrings do, a cut one first.
+    Symbols outside [0, n) are first replaced by their rank among the batch's
+    symbols, so any int64 symbols are fine.
     """
     b, n = rows.shape
     if rows.min() < 0 or rows.max() >= n:
         rows = np.unique(rows, return_inverse=True)[1].reshape(b, n)
     width = int(rows.max() + 1).bit_length()
-    levels = [rows + 1]
-    # level k packs 2**k fields of ``width`` bits; the sign bit stays clear
-    while width << len(levels) <= 63:
-        h = 1 << (len(levels) - 1)
-        label = levels[-1] << (width * h)
-        label[:, :-h] |= levels[-1][:, h:]
-        levels.append(label)
+    p = max(1, _LABEL_BITS // width)
+    one = rows + 1
+    label, span = one, 1
+    # p's bits after the top one: each doubles the fields, and a 1 adds one
+    for bit in bin(p)[3:]:
+        for tail, size in [(label, span)] + [(one, 1)] * int(bit):
+            label = label << (width * size)
+            label[:, :-span] |= tail[:, span:]
+            span += size
+    return label, width, p
+
+
+def _shared(x: np.ndarray, width: int, p: int) -> np.ndarray:
+    """Leading symbols two labels share, from their XOR ``x``: p less the
+    fields from the highest one that differs down."""
+    return p - np.searchsorted(1 << (width * np.arange(p)), x, "right")
+
+
+def _rank_levels(
+    label: np.ndarray, sa: np.ndarray, p: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Dense ranks of the substrings of p * 2**k symbols from each position,
+    one (b, n + 1) level per k with a -1 after each row that matches nothing,
+    and each row's suffix array.
+
+    ``sa`` is the sort of ``label``. Doubling stops at the first level whose
+    ranks are all distinct, so every LCP is shorter than its length; its sort
+    is the suffix array, and the levels before it are returned.
+    """
+    b, n = label.shape
     # keys below n * (n + 2): rank * (n + 1) plus the next rank + 1
     dtype = np.int32 if n * (n + 2) < _INT32_KEYS_BELOW else np.int64
-    row_start = n * np.arange(b)[:, None]
-    key = levels.pop()
+    row_start = (n + 1) * np.arange(b)[:, None]
+    levels = []
+    key = label
     while True:
-        sa = np.argsort(key, axis=1)
-        order = (sa + row_start).ravel()
-        sorted_key = key.ravel()[order].reshape(b, n)
+        ordered = np.take_along_axis(key, sa, axis=1)
         dense = np.zeros((b, n), dtype=dtype)
-        np.cumsum(sorted_key[:, 1:] != sorted_key[:, :-1], axis=1, out=dense[:, 1:])
-        rank = np.empty((b, n), dtype=dtype)
-        rank.ravel()[order] = dense.ravel()
-        levels.append(rank)
+        np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=dense[:, 1:])
         if (dense[:, -1] == n - 1).all():
-            return levels, sa.astype(dtype, copy=False)
-        # (rank, rank 2**k further on) as one key; past the end sorts first
-        h = 1 << (len(levels) - 1)
-        key = rank * (n + 1)
-        key[:, :-h] += rank[:, h:] + 1
-
-
-def _common_prefix(levels: list[np.ndarray], i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Longest common prefix of suffixes i and j, by binary lifting over ranks.
-
-    ``levels`` are rank levels 0 .. k-1 in ``_padded`` layout, for a
-    common prefix shorter than 2**k, and i, j flat indices into them; position
-    -1 of a row is a pad that matches nothing.
-    """
-    lcp = np.zeros_like(i)
-    for k in reversed(range(len(levels))):
-        lcp += (levels[k][i + lcp] == levels[k][j + lcp]) * (1 << k)
-    return lcp
+            return levels, sa
+        rank = np.full((b, n + 1), -1, dtype=dtype)
+        rank.ravel()[(sa + row_start).ravel()] = dense.ravel()
+        levels.append(rank)
+        # (rank, rank h further on) as one key; past the end sorts first
+        h = p << (len(levels) - 1)
+        key = rank[:, :n] * (n + 1)
+        key[:, :-h] += rank[:, h:n] + 1
+        sa = np.argsort(key, axis=1)
 
 
 def _suffix_lcp(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's suffix array, and the longest common prefix of each suffix
     with the one before it in that order (0 for the first), both row-wise."""
     b, n = rows.shape
-    levels, sa = _rank_levels(rows)
-    start = 1 + (n + 1) * np.arange(b)[:, None]
-    here = start + sa
-    # the pad before each row matches nothing, so the first suffix gets 0
-    before = np.hstack([start - 1, here[:, :-1]])
-    padded = [_padded(rank) for rank in levels[:-1]]
-    return sa, _common_prefix(padded, here.ravel(), before.ravel()).reshape(b, n)
+    label, width, p = _packed(rows)
+    sa = np.argsort(label, axis=1)
+    ordered = np.take_along_axis(label, sa, axis=1)
+    lcp = np.zeros((b, n), dtype=np.int64)
+    lcp[:, 1:] = _shared(ordered[:, 1:] ^ ordered[:, :-1], width, p)
+    tied = lcp == p
+    if tied.any():
+        # refining the order permutes suffixes only among equal labels, so
+        # the tied pairs stay where they are; lift each over the rank levels,
+        # then take the rest from the labels there (0 past the end)
+        levels, sa = _rank_levels(label, sa, p)
+        r, t = np.nonzero(tied)
+        i = (n + 1) * r + sa[r, t]
+        j = (n + 1) * r + sa[r, t - 1]
+        found = np.zeros_like(i)
+        for k in reversed(range(len(levels))):
+            rank = levels[k].ravel()
+            found += (rank[i + found] == rank[j + found]) * (p << k)
+        label = np.pad(label, ((0, 0), (0, 1))).ravel()
+        lcp[r, t] = found + _shared(label[i + found] ^ label[j + found], width, p)
+    return sa, lcp
+
+
+def _lcp_sums(rows: np.ndarray) -> np.ndarray:
+    """Each row's sum of suffix-array neighbour LCPs, from its labels sorted
+    by value; only rows where two neighbours share p symbols go through
+    ``_suffix_lcp``."""
+    label, width, p = _packed(rows)
+    ordered = np.sort(label, axis=1)
+    lcp = _shared(ordered[:, 1:] ^ ordered[:, :-1], width, p)
+    sums = lcp.sum(axis=1)
+    tied = (lcp == p).any(axis=1)
+    if tied.any():
+        sums[tied] = _suffix_lcp(rows[tied])[1].sum(axis=1)
+    return sums
 
 
 def match_lengths(seq) -> np.ndarray:
@@ -287,7 +324,7 @@ def pair_rates(stack: np.ndarray, a, b, alpha: int, estimator: str) -> np.ndarra
         rows = stack[a[chunk]] + alpha * stack[b[chunk]]
         if estimator == "paper":
             # sum(Lambda_t) = m + sum(LCP); see the module docstring
-            rates[chunk] = _ratio_rate(m, m + _suffix_lcp(rows)[1].sum(axis=1))
+            rates[chunk] = _ratio_rate(m, m + _lcp_sums(rows))
         else:
             rates[chunk] = [_slope_rate(lam) for lam in match_lengths(rows)]
     return rates

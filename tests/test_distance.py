@@ -321,13 +321,13 @@ class TestBuildMatrix:
         # the marginal rates ride in the batched calls of the joint rows: no
         # single-row call, and ceil((n + pairs) / rows-per-call) calls in all
         shapes = []
-        kernel = lz._suffix_lcp
+        kernel = lz._lcp_sums
 
         def counting(rows):
             shapes.append(np.shape(rows))
             return kernel(rows)
 
-        monkeypatch.setattr(lz, "_suffix_lcp", counting)
+        monkeypatch.setattr(lz, "_lcp_sums", counting)
         rng = np.random.default_rng(23)
         for n, m in ((7, 600), (12, 2501)):
             shapes.clear()

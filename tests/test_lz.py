@@ -117,32 +117,80 @@ class TestBatchedMatchLengths:
     @settings(max_examples=examples(100), deadline=None)
     @given(symbol_batches())
     def test_int64_keys_match_the_oracle(self, rows):
-        # the int64 ranks and keys that rows past about 46k symbols take
+        # the int64 ranks and keys that rows past about 46k symbols take; the
+        # sorted levels run exactly when some row repeats p symbols
+        batch = np.array(rows, dtype=np.int64)
+        _, _, p = lz._packed(batch)
+        n = batch.shape[1]
+        repeats = any(
+            len({tuple(row[t:t + p]) for t in range(n - p + 1)}) < n - p + 1
+            for row in rows
+        )
+        dtypes = []
+        rank_levels = lz._rank_levels
+
+        def spy(*args):
+            levels, sa = rank_levels(*args)
+            dtypes.extend(level.dtype for level in levels)
+            return levels, sa
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lz, "_INT32_KEYS_BELOW", 0)
-            batch = np.array(rows, dtype=np.int64)
-            levels, _ = lz._rank_levels(batch)
-            assert levels[-1].dtype == np.int64
+            patch.setattr(lz, "_rank_levels", spy)
             lam = match_lengths(batch)
+        assert bool(dtypes) == repeats
+        assert all(dtype == np.int64 for dtype in dtypes)
         for row, got in zip(rows, lam):
             assert got.tolist() == brute_match_lengths(row)
 
     @settings(max_examples=examples(150), deadline=None)
     @given(symbol_batches())
     def test_ratio_sums_match_the_oracle(self, rows):
-        # the ratio's sum(Lambda_t) is n + the suffix-array neighbours' LCPs,
-        # with int32 keys and with the int64 ones
+        # the ratio's sums from labels sorted by value, tied rows refined,
+        # and the sums of every row's refined suffix-array neighbour LCPs are
+        # the oracle's sum(Lambda_t) - n, with int32 keys and with int64 ones
         batch = np.array(rows, dtype=np.int64)
-        expected = [sum(brute_match_lengths(row)) for row in rows]
+        expected = [sum(brute_match_lengths(row)) - batch.shape[1] for row in rows]
         for below in (lz._INT32_KEYS_BELOW, 0):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(lz, "_INT32_KEYS_BELOW", below)
-                sums = batch.shape[1] + lz._suffix_lcp(batch)[1].sum(axis=1)
-            assert sums.tolist() == expected
+                assert lz._lcp_sums(batch).tolist() == expected
+                assert lz._suffix_lcp(batch)[1].sum(axis=1).tolist() == expected
+
+    def test_ratio_sums_at_the_label_edges(self, monkeypatch):
+        # one periodic row among random rows of a 100-symbol alphabet: only
+        # it repeats p symbols, so only it goes through _suffix_lcp
+        rng = np.random.default_rng(31)
+        n = 200
+        rows = rng.integers(0, 100, size=(4, n))
+        rows[2] = np.tile([3, 1, 4, 1, 5], n // 5)
+        refined = []
+        suffix_lcp = lz._suffix_lcp
+
+        def spy(batch):
+            refined.append(batch.copy())
+            return suffix_lcp(batch)
+
+        def check(batch):
+            expected = [sum(brute_match_lengths(row)) - n for row in batch]
+            assert lz._lcp_sums(batch).tolist() == expected
+
+        monkeypatch.setattr(lz, "_suffix_lcp", spy)
+        label, width, p = lz._packed(rows)
+        assert (width, p) == (7, 9) and width * p == 63
+        assert label.max() >= 1 << 62
+        check(rows)
+        assert len(refined) == 1 and refined[0].tolist() == rows[2:3].tolist()
+        # p = 1, no packing: every repeated symbol ties, so every row is refined
+        monkeypatch.setattr(lz, "_LABEL_BITS", 0)
+        assert lz._packed(rows)[1:] == (7, 1)
+        refined.clear()
+        check(rows)
+        assert len(refined) == 1 and refined[0].tolist() == rows.tolist()
 
     def test_long_repeats_cross_from_packed_to_sorted_levels(self):
-        # 1-bit labels pack up to 32 symbols, so repeats of 300 need sorted
-        # levels on top of the packed ones
+        # 2-bit fields pack 31 symbols, so repeats of 300 need sorted levels
+        # of 31, 62, 124 and 248 symbols on top of the labels
         n = 300
         rows = np.array([
             np.zeros(n, dtype=np.int64),
@@ -150,10 +198,23 @@ class TestBatchedMatchLengths:
             np.tile([2, 0, 1], n // 3),
             np.r_[np.tile([1, 0, 0], n // 3 - 1), [1, 1, 0]],
         ])
-        levels, _ = lz._rank_levels(rows)
-        assert levels[0].dtype == np.int64 and levels[-1].dtype == np.int32
-        assert 1 << (len(levels) - 1) >= n
-        for row, got in zip(rows, match_lengths(rows)):
+        _, _, p = lz._packed(rows)
+        assert p == 31
+        runs = []
+        rank_levels = lz._rank_levels
+
+        def spy(*args):
+            levels, sa = rank_levels(*args)
+            runs.append(levels)
+            return levels, sa
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lz, "_rank_levels", spy)
+            lam = match_lengths(rows)
+        (levels,) = runs
+        assert all(level.dtype == np.int32 for level in levels)
+        assert p << (len(levels) - 1) <= n - 1 < p << len(levels)
+        for row, got in zip(rows, lam):
             assert got.tolist() == brute_match_lengths(row)
 
 

@@ -372,6 +372,11 @@ def discretize(series: ReturnSeries, alphabet_size: int) -> SymbolSequence:
     The symbol of an observation is determined by its rank: sorted stably
     (earlier observation wins ties), position p of m maps to bin
     p * alpha // m, so bin counts never differ by more than one.
+
+    The stable order comes from two plain sorts: one of the returns, whose
+    runs of equal values give each return its dense rank d, then one of the
+    keys d * m + position, which are unique and so order equal returns by
+    position. On numpy's vectorised sorts that beats one stable sort.
     """
     m = len(series)
     if m < alphabet_size:
@@ -384,10 +389,13 @@ def discretize(series: ReturnSeries, alphabet_size: int) -> SymbolSequence:
             f"sample size ({m}); symbol statistics will be noisy",
             stacklevel=2,
         )
-    order = np.argsort(series.returns, kind="stable")
-    ranks = np.empty(m, dtype=np.int64)
-    ranks[order] = np.arange(m)
-    symbols = ranks * alphabet_size // m
+    order = np.argsort(series.returns)
+    ordered = series.returns[order]
+    dense = np.zeros(m, dtype=np.int64)
+    np.cumsum(ordered[1:] != ordered[:-1], out=dense[1:])
+    stable = np.sort(dense * m + order) % m
+    symbols = np.empty(m, dtype=np.int64)
+    symbols[stable] = np.arange(m) * alphabet_size // m
     return SymbolSequence(
         ticker=series.ticker, alphabet_size=alphabet_size, symbols=symbols
     )

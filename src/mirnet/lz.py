@@ -44,7 +44,7 @@ equal-length rows, and every step is a numpy pass over a batch:
    end of the row, as many as fit in 63 bits (p = 12 for the pairs of a
    4-symbol alphabet, 9 for a 10-symbol one). Labels order as those
    substrings do, and two labels share p - ceil(bitlen(a ^ b) / width)
-   leading symbols, one ``searchsorted`` of their XOR.
+   leading symbols, looked up by the float64 exponent of their XOR.
 2. Sort by value and the XOR of neighbours: where sorted neighbours differ,
    that count is the longest common prefix (LCP) of their suffixes, which
    are neighbours in the suffix array too.
@@ -70,6 +70,7 @@ suffix; it is pure Python, and takes most of a slope estimate's time.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -87,10 +88,11 @@ OVERSHOOT_FRACTION = 0.10
 
 # symbols per kernel call of ``pair_rates``: enough rows to spread numpy's
 # per-call overhead. At 2.5k-symbol rows the ratio path peaks at about 48
-# bytes a symbol, 180 in a chunk of tied rows (tracemalloc). In 4 alternating
-# rounds on one core, a 24-series alpha = 4 matrix took 21-31 ms at this
-# value, 23-32 ms at 2**13 and 28-38 ms at 2**15, and a 91-series alpha = 10
-# one 213-330 ms, 252-368 ms and 211-312 ms: no other value wins at both
+# bytes a symbol, 170 in a chunk of tied rows (tracemalloc). In 8 alternating
+# rounds on one core, a 24-series alpha = 4 matrix took 12-19 ms at this
+# value, 15-23 ms at 2**13 and 19-33 ms at 2**15, and a 91-series alpha = 10
+# one 166-226 ms, 187-281 ms and 157-234 ms: 2**13 lost 7 of the 8 rounds at
+# 91 series and 2**15 all 8 at 24, so no other value wins at both
 JOINT_SYMBOL_BUDGET = 1 << 14
 
 # rank levels and sort keys of rows of n symbols are int32 when every key,
@@ -128,9 +130,11 @@ def _packed(rows: np.ndarray) -> tuple[np.ndarray, int, int]:
     symbols, so any int64 symbols are fine.
     """
     b, n = rows.shape
-    if rows.min() < 0 or rows.max() >= n:
-        rows = np.unique(rows, return_inverse=True)[1].reshape(b, n)
-    width = int(rows.max() + 1).bit_length()
+    top = rows.max()
+    if rows.min() < 0 or top >= n:
+        symbols, rows = np.unique(rows, return_inverse=True)
+        rows, top = rows.reshape(b, n), symbols.size - 1
+    width = int(top + 1).bit_length()
     p = max(1, _LABEL_BITS // width)
     one = rows + 1
     label, span = one, 1
@@ -143,10 +147,28 @@ def _packed(rows: np.ndarray) -> tuple[np.ndarray, int, int]:
     return label, width, p
 
 
+@functools.cache
+def _shared_by_exponent(width: int, p: int) -> np.ndarray:
+    """p - ceil(bitlen / width), indexed by the float64 exponent field of a
+    whole number below 2**63 of that bit length: 0 for 0, 1022 + bitlen for
+    bit lengths 1 to 63."""
+    bitlen = np.maximum(np.arange(1022 + 64) - 1022, 0)
+    return p + -bitlen // width
+
+
 def _shared(x: np.ndarray, width: int, p: int) -> np.ndarray:
     """Leading symbols two labels share, from their XOR ``x``: p less the
-    fields from the highest one that differs down."""
-    return p - np.searchsorted(1 << (width * np.arange(p)), x, "right")
+    fields from the highest one that differs down.
+
+    The bit length of x in [0, 2**63) is read from a float64 exponent. Below
+    2**11 x casts exactly; from 2**11 on its low 11 bits are cleared first,
+    which keeps its top bit and leaves at most 52 significant ones, so the
+    cast is exact and cannot round up to the next power of two.
+    """
+    exact = x & -(1 << 11)
+    np.copyto(exact, x, where=x < 1 << 11)
+    exponent = exact.astype(np.float64).view(np.int64) >> 52
+    return _shared_by_exponent(width, p)[exponent]
 
 
 def _rank_levels(
@@ -214,8 +236,8 @@ def _lcp_sums(rows: np.ndarray) -> np.ndarray:
     by value; only rows where two neighbours share p symbols go through
     ``_suffix_lcp``."""
     label, width, p = _packed(rows)
-    ordered = np.sort(label, axis=1)
-    lcp = _shared(ordered[:, 1:] ^ ordered[:, :-1], width, p)
+    label.sort(axis=1)
+    lcp = _shared(label[:, 1:] ^ label[:, :-1], width, p)
     sums = lcp.sum(axis=1)
     tied = (lcp == p).any(axis=1)
     if tied.any():

@@ -122,6 +122,21 @@ def brute_match_lengths(seq) -> list[int]:
     return lam
 
 
+def searchsorted_shared(x, width: int, p: int) -> np.ndarray:
+    """The count ``lz._shared`` replaced: p less the number of field bottoms
+    1 << (width * k), k < p, at or below each XOR ``x``."""
+    return p - np.searchsorted(1 << (width * np.arange(p)), x, "right")
+
+
+def stable_sort_symbols(returns, alphabet_size: int) -> np.ndarray:
+    """The binning ``discretize`` replaced: ranks from one stable argsort,
+    rank r of m in bin r * alphabet_size // m."""
+    m = len(returns)
+    ranks = np.empty(m, dtype=np.int64)
+    ranks[np.argsort(returns, kind="stable")] = np.arange(m)
+    return ranks * alphabet_size // m
+
+
 def per_cell_delimited(matrix, delimiter=",") -> str:
     """The writer ``DistanceMatrix.to_delimited`` replaced: every cell's own
     ``repr``, row by row."""

@@ -24,7 +24,7 @@ from mirnet.ingest import (
     log_returns,
 )
 from mirnet.synth import SynthSpec, generate_price_table
-from oracles import oracle_load_price_table
+from oracles import oracle_load_price_table, stable_sort_symbols
 
 BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -657,6 +657,27 @@ class TestDiscretize:
         r = ReturnSeries("A", np.zeros(4))
         sym = discretize(r, 2)
         assert sym.symbols.tolist() == [0, 0, 1, 1]
+
+    @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+    @given(st.data())
+    @pytest.mark.filterwarnings("ignore:.*exceeds sqrt")
+    def test_symbols_equal_stable_argsort_ranks(self, data):
+        # ties, signed zeros (equal as returns), constant and all-distinct
+        # series bin as ranks from one stable argsort do
+        alphabet = data.draw(st.integers(2, 10))
+        m = st.integers(alphabet, 300)
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        kind = data.draw(st.sampled_from(["pool", "constant", "distinct"]))
+        if kind == "pool":
+            pool = data.draw(st.lists(finite, max_size=3)) + [0.0, -0.0]
+            returns = data.draw(st.lists(st.sampled_from(pool), min_size=alphabet, max_size=300))
+        elif kind == "constant":
+            returns = [data.draw(st.sampled_from([0.0, -0.0]) | finite)] * data.draw(m)
+        else:
+            returns = data.draw(st.lists(finite, min_size=alphabet, max_size=300, unique=True))
+        returns = np.array(returns)
+        sym = discretize(ReturnSeries("A", returns), alphabet)
+        assert sym.symbols.tolist() == stable_sort_symbols(returns, alphabet).tolist()
 
     def test_rank_equivariance(self):
         rng = np.random.default_rng(42)

@@ -21,7 +21,7 @@ from mirnet.lz import (
     mutual_lz,
 )
 
-from oracles import brute_match_lengths
+from oracles import brute_match_lengths, searchsorted_shared
 
 
 class TestMatchLengths:
@@ -216,6 +216,36 @@ class TestBatchedMatchLengths:
         assert p << (len(levels) - 1) <= n - 1 < p << len(levels)
         for row, got in zip(rows, lam):
             assert got.tolist() == brute_match_lengths(row)
+
+
+def label_widths():
+    """Every field width with its p, and the bits p fields take."""
+    for width in range(1, 64):
+        p = max(1, 63 // width)
+        yield width, p, p * width
+
+
+class TestSharedSymbols:
+    def test_shared_at_every_power_of_two(self):
+        # 0 and 2**k - 1, 2**k, 2**k + 1 below 2**(p * width), for every k:
+        # 2**53 +- 1, the first values a float64 cast would round, included
+        for width, p, bits in label_widths():
+            near = {2**k + d for k in range(bits + 1) for d in (-1, 0, 1)}
+            x = np.array(sorted(v for v in near | {0} if v < 2**bits), dtype=np.int64)
+            if bits == 63:
+                assert {2**53 - 1, 2**53 + 1, 2**63 - 1} <= set(x.tolist())
+            assert lz._shared(x, width, p).tolist() == searchsorted_shared(x, width, p).tolist()
+
+    @settings(max_examples=examples(300), deadline=None)
+    @given(st.data())
+    def test_shared_on_random_xors(self, data):
+        # the XOR of two labels below 2**bits that agree above their low k
+        # bits is any value below 2**k, all ones included
+        width, p, bits = data.draw(st.sampled_from(list(label_widths())))
+        values = st.integers(0, 2**bits - 1) | st.just(2**bits - 1)
+        pairs = data.draw(st.lists(st.tuples(values, st.integers(0, bits)), min_size=1))
+        x = np.array([v & ((1 << k) - 1) for v, k in pairs], dtype=np.int64)
+        assert lz._shared(x, width, p).tolist() == searchsorted_shared(x, width, p).tolist()
 
 
 class TestEntropyRate:
